@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet vet-cb race test-debug bench bench-snapshot bench-gate ci figures fuzz chaos-litmus replay-e2e cluster-e2e cycles
+.PHONY: all build test vet vet-cb race test-debug bench bench-snapshot bench-gate ci figures fuzz chaos-litmus replay-e2e cycles
 
 all: build
 
@@ -75,22 +75,11 @@ chaos-litmus:
 replay-e2e:
 	$(GO) test -count=1 -run TestReplayE2E ./cmd/cbsimd/
 
-# cluster-e2e is the robustness gate over real processes: three cbsimd
-# daemons form a cluster over loopback, a standalone daemon defines the
-# baseline bytes, one member is SIGKILLed mid-sweep, and the survivors'
-# sweep tables must stay byte-identical to the baseline. The in-process
-# fault-schedule invariance suite (drop/delay/dup/partition at fixed
-# seeds) runs alongside it.
-cluster-e2e:
-	$(GO) test -count=1 -run TestClusterKillPeerE2E ./cmd/cbsimd/
-	$(GO) test -count=1 ./internal/cluster/...
-
 # ci is the full gate: vet (stock + project analyzers), build,
 # race-enabled tests, the cbsimdebug tagged tests, a single-shot
 # benchmark pass, the perf gate (which also writes the archived
-# BENCH_pr.json snapshot), the replay end-to-end gate, and the cluster
-# kill-a-peer end-to-end gate.
-ci: vet vet-cb build race test-debug bench bench-gate replay-e2e cluster-e2e
+# BENCH_pr.json snapshot), and the replay end-to-end gate.
+ci: vet vet-cb build race test-debug bench bench-gate replay-e2e
 
 # figures regenerates every table of the paper at full 64-core scale.
 figures:

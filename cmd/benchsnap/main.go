@@ -186,7 +186,7 @@ func run(out string, cores int, benches []string) error {
 			return err
 		}
 		start := time.Now()
-		res, err := experiments.RunBenchmark(p, setup, workload.StyleScalable, experiments.Options{Cores: cores})
+		res, err := experiments.RunBenchmark(p, setup, workload.StyleScalable, cellOptions(cores))
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
@@ -201,7 +201,7 @@ func run(out string, cores int, benches []string) error {
 	if err != nil {
 		return err
 	}
-	ckOpts := experiments.Options{Cores: cores}
+	ckOpts := cellOptions(cores)
 	snap.Benchmarks["replay_record_off"] = record(testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -243,6 +243,16 @@ func run(out string, cores int, benches []string) error {
 		snap.Benchmarks["kernel_hot_path"].AllocsPerOp,
 		snap.SimRate.CyclesPerSecond)
 	return nil
+}
+
+// cellOptions is the option set for single-cell measurements. A cell is
+// one simulation, so Parallelism is pinned to 1: left at 0 it defaults
+// to GOMAXPROCS, and above 1 the sweep runner wraps its log sink in a
+// mutex-guarded closure. That adds allocations, so allocs/op would
+// depend on the host's CPU count and the exact-match gate would not
+// hold across hosts.
+func cellOptions(cores int) experiments.Options {
+	return experiments.Options{Cores: cores, Parallelism: 1}
 }
 
 // spinWaveActor models a parked core with a known next wake: it fires

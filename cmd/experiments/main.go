@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/machine"
 	"repro/internal/metrics"
 	"repro/internal/workload"
 )
@@ -121,6 +122,11 @@ func emit(name string, tables ...*metrics.Table) error {
 }
 
 func run(fig string, o experiments.Options) error {
+	// Validate the core count before any sweep: a bad value would
+	// otherwise only surface as a machine-build panic inside a cell.
+	if err := machine.ValidateCores(o.Cores); err != nil {
+		return err
+	}
 	need21 := fig == "all" || fig == "1" || fig == "20" || fig == "21" || fig == "22" || fig == "headline"
 	needNaive := fig == "all" || fig == "20" || fig == "naive"
 

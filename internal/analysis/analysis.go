@@ -69,14 +69,7 @@ func (p *Pass) InTestFile(pos token.Pos) bool {
 // that executes inside a single-goroutine simulated machine and must be
 // bit-reproducible run to run. The sweep/service layers (experiments,
 // service, obs, metrics) are intentionally excluded — they own the
-// worker pools and wall-clock concerns. cluster (and its clustertest
-// proof layer) is excluded for the same reason, deliberately: peer RPC
-// timeouts, backoff jitter, circuit-breaker cooldowns, and failure
-// detection are wall-clock mechanisms by nature, and the cluster may
-// never influence result bytes — only where and when a cell resolves.
-// That invariance is enforced dynamically instead, by clustertest's
-// fault-schedule tests (any seeded drop/delay/dup/partition schedule
-// must reproduce the fault-free baseline byte for byte). chaos is in: its fault
+// worker pools and wall-clock concerns. chaos is in: its fault
 // decisions execute inside the machine and must replay bit-identically
 // from the seeded RNG (which is also snapshot/restored). digest and
 // replay are in: a state digest or a checkpointed re-execution that

@@ -263,7 +263,6 @@ type Event struct {
 	Benchmark string  `json:"benchmark,omitempty"`
 	Setup     string  `json:"setup,omitempty"`
 	Cached    bool    `json:"cached,omitempty"`
-	Remote    bool    `json:"remote,omitempty"`  // resolved by a cluster peer
 	Cycles    uint64  `json:"cycles,omitempty"`  // simulated cycles (cell_done)
 	WallMS    float64 `json:"wall_ms,omitempty"` // wall-clock simulation time (cell_done)
 	Error     string  `json:"error,omitempty"`
@@ -279,14 +278,11 @@ type cellPayload struct {
 }
 
 // CellResult is one cell of a job result. Data is the cached/serialized
-// cellPayload ({"spec":…,"stats":…,"energy":…}); Cached, Remote, and
-// WallMS describe how this particular job obtained it — Data itself is
+// cellPayload ({"spec":…,"stats":…,"energy":…}); Cached and WallMS
+// describe how this particular job obtained it — Data itself is
 // byte-identical whichever way (the determinism contract).
 type CellResult struct {
-	Cached bool `json:"cached"`
-	// Remote marks a cell resolved by a cluster peer (remote cache fetch
-	// or forwarded compute) instead of the local cache or a local run.
-	Remote bool            `json:"remote,omitempty"`
+	Cached bool            `json:"cached"`
 	WallMS float64         `json:"wall_ms,omitempty"`
 	Data   json.RawMessage `json:"data"`
 }

@@ -53,31 +53,6 @@ type Config struct {
 	JournalPath string
 	// Logf receives operational log lines (default: discard).
 	Logf func(format string, args ...any)
-	// Registry, when set, receives the daemon's metric families instead
-	// of a private registry — so an embedding layer (the cluster node)
-	// can surface its own series through the same GET /metrics.
-	Registry *obs.Registry
-
-	// CellResolver, when set, is consulted on a local cache miss before
-	// a cell is simulated: a cluster node uses it to fetch the cell's
-	// bytes from the peer that owns (or already computed) the result.
-	// Returning ok=false means "resolve locally" — the server simulates
-	// the cell itself, so a fully partitioned node degrades to
-	// standalone behavior instead of failing. The returned bytes are
-	// adopted into the local cache. Traced and checkpointed cells never
-	// consult the resolver (their artifacts must come from a local run).
-	CellResolver func(ctx context.Context, c CellSpec, key string) (data []byte, ok bool)
-	// OnCacheFill, when set, is called after a fresh local simulation
-	// fills the cache — the hook a cluster node uses to gossip fills to
-	// the key's owner and replicas. It is called synchronously on the
-	// worker; implementations must not block.
-	OnCacheFill func(key string, data []byte)
-	// OnJournal, when set, receives a copy of every journal record as it
-	// is appended (submit and terminal transitions), whether or not a
-	// JournalPath is configured — the hook a cluster node uses to
-	// replicate its journal stream to peers. Called synchronously;
-	// implementations must not block.
-	OnJournal func(rec JournalRecord)
 }
 
 func (c Config) fill() Config {
@@ -116,11 +91,6 @@ type Server struct {
 	draining atomic.Bool
 	busy     atomic.Int64
 
-	// remoteSem bounds the simulations run on behalf of cluster peers
-	// (ResolveCell) so stolen work cannot starve the local worker pool's
-	// own jobs of CPU beyond one extra poolful.
-	remoteSem chan struct{}
-
 	mu     sync.Mutex
 	jobs   map[string]*job
 	order  []string // submission order, for listing
@@ -146,7 +116,6 @@ type Server struct {
 	sim            *obs.SimMetrics
 	cellsSimulated *obs.Counter
 	cellsCached    *obs.Counter
-	cellsRemote    *obs.Counter
 	jobsSubmitted  *obs.Counter
 	jobsRejected   *obs.Counter
 	journalTorn    *obs.Counter
@@ -158,12 +127,11 @@ type Server struct {
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.fill()
 	s := &Server{
-		cfg:       cfg,
-		cache:     NewCache(cfg.CacheBytes),
-		jobsCh:    make(chan *job, cfg.QueueDepth),
-		quit:      make(chan struct{}),
-		jobs:      make(map[string]*job),
-		remoteSem: make(chan struct{}, cfg.Workers),
+		cfg:    cfg,
+		cache:  NewCache(cfg.CacheBytes),
+		jobsCh: make(chan *job, cfg.QueueDepth),
+		quit:   make(chan struct{}),
+		jobs:   make(map[string]*job),
 	}
 	s.registerMetrics()
 	s.routes()
@@ -300,7 +268,7 @@ func (s *Server) makeJob(id string, req JobRequest) (*job, error) {
 	j.traceWanted = req.Trace
 	j.checkpoints = req.Checkpoints
 	j.ckInterval = req.CheckpointInterval
-	if s.journal != nil || s.cfg.OnJournal != nil {
+	if s.journal != nil {
 		j.onFinish = func(state string) {
 			s.recordJournal(JournalRecord{Op: "done", ID: id, State: state})
 		}
@@ -308,15 +276,12 @@ func (s *Server) makeJob(id string, req JobRequest) (*job, error) {
 	return j, nil
 }
 
-// recordJournal appends rec to the local journal (when configured) and
-// mirrors it to the OnJournal hook (when set). A journal write error is
-// logged, not fatal — the job still runs; it just won't survive a crash.
+// recordJournal appends rec to the journal (when configured). A journal
+// write error is logged, not fatal — the job still runs; it just won't
+// survive a crash.
 func (s *Server) recordJournal(rec JournalRecord) {
 	if err := s.journal.append(rec); err != nil {
 		s.cfg.Logf("journal: recording %s %s: %v", rec.Op, rec.ID, err)
-	}
-	if s.cfg.OnJournal != nil {
-		s.cfg.OnJournal(rec)
 	}
 }
 
@@ -340,17 +305,13 @@ func (s *Server) rejectRetryable(w http.ResponseWriter, code int, msg string) {
 // state (queue depth, busy workers, cache size) are computed at
 // exposition time; counters are incremented on the hot path.
 func (s *Server) registerMetrics() {
-	r := s.cfg.Registry
-	if r == nil {
-		r = obs.NewRegistry()
-	}
+	r := obs.NewRegistry()
 	s.reg = r
 	s.sim = obs.NewSimMetrics(r)
 	s.jobsSubmitted = r.Counter("cbsimd_jobs_submitted_total", "Jobs accepted into the queue.")
 	s.jobsRejected = r.Counter("cbsimd_jobs_rejected_total", "Jobs rejected with backpressure (queue full).")
 	s.cellsSimulated = r.Counter("cbsimd_cells_simulated_total", "Cells resolved by running a fresh simulation.")
 	s.cellsCached = r.Counter("cbsimd_cells_cached_total", "Cells served from the content-addressed cache.")
-	s.cellsRemote = r.Counter("cbsimd_cells_remote_total", "Cells resolved by a cluster peer (cache fetch or forwarded compute).")
 	s.journalTorn = r.Counter("service_journal_torn_tails_total", "Torn journal tail records dropped during replay-on-boot (crash-mid-append corruption).")
 	r.GaugeFunc("cbsimd_queue_depth", "Queued-but-not-running jobs.",
 		func() float64 { return float64(len(s.jobsCh)) })
@@ -399,10 +360,6 @@ func (s *Server) registerMetrics() {
 	r.GaugeFunc("cbsimd_sim_cycles_per_wall_second", "Aggregate simulated-vs-wall rate.",
 		s.simRate.CyclesPerSecond)
 }
-
-// Registry exposes the daemon's metrics registry (for embedding servers
-// that want to add their own series).
-func (s *Server) Registry() *obs.Registry { return s.reg }
 
 // Handler returns the daemon's HTTP API.
 func (s *Server) Handler() http.Handler { return s.mux }
@@ -525,42 +482,38 @@ func (s *Server) runCell(j *job, i int) (err error) {
 	if j.checkpoints {
 		return s.runCheckpointedCell(j, i, c, p, setup, key)
 	}
-	// Local miss: let the cluster layer (when wired) fetch the bytes from
-	// the peer that owns or already computed this cell. A remote result
-	// is byte-identical to a local run by the determinism contract, so it
-	// is adopted into the cache and reported like a hit. ok=false means
-	// the cluster could not help (standalone, partitioned, peers busy):
-	// fall through and simulate locally — degradation, never failure.
-	// Traced cells always run locally (the trace must be this run's).
-	if s.cfg.CellResolver != nil && !j.traceWanted {
-		if data, ok := s.cfg.CellResolver(j.ctx, c, key); ok {
-			s.cache.Put(key, data)
-			s.cellsRemote.Inc()
-			j.cellDone(i, CellResult{Cached: true, Remote: true, Data: data}, Event{
-				Type: "cell_done", Job: j.id, Cell: i + 1, Cells: len(j.cells),
-				Benchmark: c.Benchmark, Setup: c.Setup, Cached: true, Remote: true,
-			})
-			return nil
-		}
-	}
 	var wall time.Duration
+	co := experiments.Options{
+		Cores:       c.Cores,
+		CBEntries:   c.Entries,
+		Limit:       c.Limit,
+		Parallelism: 1, // a cell is a single simulation
+		Context:     j.ctx,
+		Metrics:     s.sim,
+		// Cache-adjacent cells share configurations; warm-starting from
+		// the experiments machine pool skips rebuilding the machine.
+		// Results are byte-identical (tracing still works: restore
+		// detaches the previous run's observers).
+		WarmStart:   true,
+		CycleStacks: c.Cycles,
+		Progress: func(e experiments.RunEvent) {
+			if !e.Done {
+				j.emit(Event{
+					Type: "cell_start", Job: j.id, Cell: i + 1, Cells: len(j.cells),
+					Benchmark: c.Benchmark, Setup: c.Setup,
+				})
+				return
+			}
+			wall = e.Wall
+		},
+	}
 	var chrome bytes.Buffer
 	var cw *trace.ChromeWriter
-	var sink trace.Sink
 	if j.traceWanted {
 		cw = trace.NewChromeWriter(&chrome)
-		sink = cw
+		co.Trace = cw
 	}
-	data, cycles, err := s.simulateCell(j.ctx, c, p, setup, key, sink, func(e experiments.RunEvent) {
-		if !e.Done {
-			j.emit(Event{
-				Type: "cell_start", Job: j.id, Cell: i + 1, Cells: len(j.cells),
-				Benchmark: c.Benchmark, Setup: c.Setup,
-			})
-			return
-		}
-		wall = e.Wall
-	})
+	res, err := experiments.RunBenchmark(p, setup, c.SyncStyle(), co)
 	if err != nil {
 		// A liveness failure carries a per-core dump of where every core
 		// was stuck; surface it in the daemon log (the job error string
@@ -571,152 +524,29 @@ func (s *Server) runCell(j *job, i int) (err error) {
 		}
 		return err
 	}
+	data, err := json.Marshal(cellPayload{Spec: c, Stats: res.Stats, Energy: res.Energy})
+	if err != nil {
+		return fmt.Errorf("marshaling result for %s/%s: %w", c.Benchmark, c.Setup, err)
+	}
+	s.cache.Put(key, data)
+	s.cellsSimulated.Inc()
 	if cw != nil {
 		if err := cw.Close(); err != nil {
 			return fmt.Errorf("finalizing trace for %s/%s: %w", c.Benchmark, c.Setup, err)
 		}
 		j.setTrace(chrome.Bytes())
 	}
-	s.simRate.Observe(cycles, wall)
+	s.simRate.Observe(res.Stats.Cycles, wall)
 	j.cellDone(i, CellResult{WallMS: wallMS(wall), Data: data}, Event{
 		Type: "cell_done", Job: j.id, Cell: i + 1, Cells: len(j.cells),
 		Benchmark: c.Benchmark, Setup: c.Setup,
-		Cycles: cycles, WallMS: wallMS(wall),
+		Cycles: res.Stats.Cycles, WallMS: wallMS(wall),
 	})
 	return nil
 }
 
-// simulateCell runs one cell fresh, caches and gossips the canonical
-// payload, and returns its bytes — the simulation core shared by job
-// workers (runCell) and the cluster peer-work path (ResolveCell). tr,
-// when non-nil, receives the run's trace events; progress, when non-nil,
-// observes the run lifecycle.
-func (s *Server) simulateCell(ctx context.Context, c CellSpec, p workload.Profile, setup experiments.Setup, key string, tr trace.Sink, progress func(experiments.RunEvent)) (data []byte, cycles uint64, err error) {
-	co := experiments.Options{
-		Cores:       c.Cores,
-		CBEntries:   c.Entries,
-		Limit:       c.Limit,
-		Parallelism: 1, // a cell is a single simulation
-		Context:     ctx,
-		Metrics:     s.sim,
-		// Cache-adjacent cells share configurations; warm-starting from
-		// the experiments machine pool skips rebuilding the machine.
-		// Results are byte-identical (tracing still works: restore
-		// detaches the previous run's observers).
-		WarmStart:   true,
-		CycleStacks: c.Cycles,
-		Progress:    progress,
-	}
-	if tr != nil {
-		co.Trace = tr
-	}
-	res, err := experiments.RunBenchmark(p, setup, c.SyncStyle(), co)
-	if err != nil {
-		return nil, 0, err
-	}
-	data, err = json.Marshal(cellPayload{Spec: c, Stats: res.Stats, Energy: res.Energy})
-	if err != nil {
-		return nil, 0, fmt.Errorf("marshaling result for %s/%s: %w", c.Benchmark, c.Setup, err)
-	}
-	s.cache.Put(key, data)
-	s.cellsSimulated.Inc()
-	if s.cfg.OnCacheFill != nil {
-		s.cfg.OnCacheFill(key, data)
-	}
-	return data, res.Stats.Cycles, nil
-}
-
-// ---------------------------------------------------------- cluster surface
-
-// remoteAdmitWait bounds how long a peer's cell request waits for a
-// remote work slot before being bounced with ErrBusy (the caller falls
-// back to computing locally or asking another replica).
-const remoteAdmitWait = 250 * time.Millisecond
-
-// ResolveCell resolves one normalized cell on behalf of a cluster peer:
-// a local cache hit is returned immediately; otherwise the cell is
-// simulated fresh, gated by a semaphore sized to the worker pool so
-// stolen work cannot starve local jobs. It returns ErrBusy when no slot
-// frees up within a short admission window and ErrDraining during
-// graceful drain — both retryable on another node (or locally) by the
-// caller.
-func (s *Server) ResolveCell(ctx context.Context, c CellSpec) (data []byte, cached bool, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			s.cfg.Logf("remote cell %s/%s panicked: %v\n%s", c.Benchmark, c.Setup, r, debug.Stack())
-			err = fmt.Errorf("cell %s/%s panicked: %v", c.Benchmark, c.Setup, r)
-		}
-	}()
-	if s.draining.Load() {
-		return nil, false, ErrDraining
-	}
-	key := c.Key(s.cfg.VersionSalt)
-	if data, ok := s.cache.Get(key); ok {
-		return data, true, nil
-	}
-	// The spec arrives over the wire from a peer: validate it like a
-	// submission would before burning a worker on it.
-	p, err := workload.ByName(c.Benchmark)
-	if err != nil {
-		return nil, false, err
-	}
-	setup, err := experiments.SetupByName(c.Setup)
-	if err != nil {
-		return nil, false, err
-	}
-	if err := machine.ValidateCores(c.Cores); err != nil {
-		return nil, false, err
-	}
-	admit := time.NewTimer(remoteAdmitWait)
-	defer admit.Stop()
-	select {
-	case s.remoteSem <- struct{}{}:
-		defer func() { <-s.remoteSem }()
-	case <-ctx.Done():
-		return nil, false, ctx.Err()
-	case <-admit.C:
-		return nil, false, ErrBusy
-	}
-	data, _, err = s.simulateCell(ctx, c, p, setup, key, nil, nil)
-	return data, false, err
-}
-
-// CacheGet looks up the local result cache only — no resolver, no
-// recursion — so peers can probe this node's cache over /v1/cluster.
-func (s *Server) CacheGet(key string) ([]byte, bool) { return s.cache.Get(key) }
-
-// CachePut installs a replicated fill gossiped by a peer. The bytes are
-// trusted within the cluster: every fill is the deterministic payload of
-// its content-addressed key.
-func (s *Server) CachePut(key string, data []byte) { s.cache.Put(key, data) }
-
 // CacheStats snapshots the result-cache counters.
 func (s *Server) CacheStats() CacheStats { return s.cache.Stats() }
-
-// VersionSalt returns the configured cache version salt, so the cluster
-// layer hashes cell keys exactly as the job workers do.
-func (s *Server) VersionSalt() string { return s.cfg.VersionSalt }
-
-// LoadInfo is a point-in-time snapshot of the server's work level, used
-// by cluster peers to decide where to forward cells.
-type LoadInfo struct {
-	Workers    int  `json:"workers"`
-	Busy       int  `json:"busy"`
-	QueueDepth int  `json:"queue_depth"`
-	QueueCap   int  `json:"queue_cap"`
-	Draining   bool `json:"draining"`
-}
-
-// Load snapshots the server's current work level.
-func (s *Server) Load() LoadInfo {
-	return LoadInfo{
-		Workers:    s.cfg.Workers,
-		Busy:       int(s.busy.Load()),
-		QueueDepth: len(s.jobsCh),
-		QueueCap:   cap(s.jobsCh),
-		Draining:   s.draining.Load(),
-	}
-}
 
 // runCheckpointedCell resolves a cell by recording it for time-travel
 // debugging: the returned Stats (and so the cached payload) are
@@ -764,9 +594,6 @@ func (s *Server) runCheckpointedCell(j *job, i int, c CellSpec, p workload.Profi
 		return fmt.Errorf("marshaling result for %s/%s: %w", c.Benchmark, c.Setup, err)
 	}
 	s.cache.Put(key, data)
-	if s.cfg.OnCacheFill != nil {
-		s.cfg.OnCacheFill(key, data)
-	}
 	s.cellsSimulated.Inc()
 	s.simRate.Observe(st.Cycles, wall)
 	j.cellDone(i, CellResult{WallMS: wallMS(wall), Data: data}, Event{
@@ -847,14 +674,12 @@ type apiError struct {
 }
 
 // Sentinel errors returned by SubmitJob (the programmatic submission
-// path shared by the HTTP handler, cluster job adoption, and embedders).
+// path shared by the HTTP handler and embedders).
 var (
 	// ErrDraining rejects work arriving during graceful drain.
 	ErrDraining = errors.New("service: server draining")
 	// ErrQueueFull rejects submissions beyond the queue bound.
 	ErrQueueFull = errors.New("service: job queue full")
-	// ErrBusy rejects remote cell work when every remote slot is taken.
-	ErrBusy = errors.New("service: all remote work slots busy")
 )
 
 // SubmitJob validates, registers, enqueues, and journals one job — the
