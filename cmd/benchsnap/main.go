@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"time"
@@ -219,6 +220,28 @@ func run(out string, cores int, benches []string) error {
 		}
 	}))
 
+	// Memory path: one full 64-core Invalidation cell, the Figure 21
+	// case where every core spins on an L1-resident line. Its core ->
+	// L1 -> core round trip allocates nothing, so allocs/op counts only
+	// per-cell set-up and the misses' growth paths; the exact-match gate
+	// pins that count.
+	invSetup, err := experiments.SetupByName("Invalidation")
+	if err != nil {
+		return err
+	}
+	invP, err := workload.ByName("fft")
+	if err != nil {
+		return err
+	}
+	invOpts := cellOptions(64)
+	snap.Benchmarks["invalidation_cell_64"], err = cellAllocs(20, func() error {
+		_, err := experiments.RunBenchmark(invP, invSetup, workload.StyleScalable, invOpts)
+		return err
+	})
+	if err != nil {
+		return err
+	}
+
 	cells, cycles, wall := rate.Snapshot()
 	snap.SimRate = simRate{
 		Benchmarks:      benches,
@@ -253,6 +276,41 @@ func run(out string, cores int, benches []string) error {
 // hold across hosts.
 func cellOptions(cores int) experiments.Options {
 	return experiments.Options{Cores: cores, Parallelism: 1}
+}
+
+// cellAllocs measures a whole simulation cell, whose per-op allocation
+// count testing.Benchmark cannot pin: a cell is slow, so a one-second run
+// has too few iterations to round away the runtime's few background
+// allocations, and the count also moves with GOMAXPROCS (sync.Pool keeps
+// per-P caches, so a goroutine that migrates between Ps misses). Here
+// the cell runs n times in one window with GOMAXPROCS pinned to 1 and
+// the collector run only between cells, at fixed points. The per-cell
+// mean, rounded down, is then the same on every host.
+func cellAllocs(n int, run func() error) (benchPerf, error) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	if err := run(); err != nil { // warm-up: first-use allocations
+		return benchPerf{}, err
+	}
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var busy time.Duration
+	for i := 0; i < n; i++ {
+		start := time.Now()
+		if err := run(); err != nil {
+			return benchPerf{}, err
+		}
+		busy += time.Since(start)
+		runtime.GC()
+	}
+	runtime.ReadMemStats(&after)
+	return benchPerf{
+		NsPerOp:     float64(busy.Nanoseconds()) / float64(n),
+		AllocsPerOp: int64((after.Mallocs - before.Mallocs) / uint64(n)),
+		BytesPerOp:  int64((after.TotalAlloc - before.TotalAlloc) / uint64(n)),
+		Iterations:  n,
+	}, nil
 }
 
 // spinWaveActor models a parked core with a known next wake: it fires

@@ -53,3 +53,39 @@ func TestCellOptionsAllocsIndependentOfGOMAXPROCS(t *testing.T) {
 		t.Fatalf("single-cell run allocates %d objects at GOMAXPROCS=1 but %d at GOMAXPROCS=2", one, two)
 	}
 }
+
+// TestCellAllocsRepeatable pins what the exact-match gate needs from
+// cellAllocs: two measurements of the same cell agree, and the caller's
+// GOMAXPROCS is restored afterwards.
+func TestCellAllocsRepeatable(t *testing.T) {
+	if raceEnabled {
+		t.Skip("malloc counts are not exact under the race detector")
+	}
+	p, err := workload.ByName("fft")
+	if err != nil {
+		t.Fatal(err)
+	}
+	setup, err := experiments.SetupByName("Invalidation")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() error {
+		_, err := experiments.RunBenchmark(p, setup, workload.StyleScalable, cellOptions(4))
+		return err
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	first, err := cellAllocs(10, run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := cellAllocs(10, run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.AllocsPerOp != second.AllocsPerOp {
+		t.Fatalf("one cell measured %d then %d allocs", first.AllocsPerOp, second.AllocsPerOp)
+	}
+	if got := runtime.GOMAXPROCS(0); got != 2 {
+		t.Fatalf("GOMAXPROCS = %d after cellAllocs, want the caller's 2", got)
+	}
+}

@@ -97,8 +97,31 @@ type Core struct {
 	// observer.
 	cyc cycles.Hook
 
+	// The in-flight memory operation. A core has at most one, so it owns
+	// one request slot that the L1 reads until the op completes, plus
+	// the state Complete needs to retire it. Reusing the slot keeps the
+	// memory path allocation-free.
+	//cbvet:ephemeral in-flight op slot: snapshots refuse a pending op (L1 State fails) and the L1 digest folds the request it holds
+	req memtypes.Request
+	//cbvet:ephemeral stale-response tag: only compared between an in-flight request and its reply, and a snapshot has neither
+	opSeq uint64
+	//cbvet:ephemeral completion state of the in-flight op, rebuilt from the program at the next issue
+	rd isa.Reg
+	//cbvet:ephemeral completion state of the in-flight op, rebuilt from the program at the next issue
+	isLoad bool
+	//cbvet:ephemeral completion state of the in-flight op, rebuilt at the next issue
+	issuedAt uint64
+
 	stats Stats
 }
+
+// Core event stages, passed as the arg of Act. The core schedules itself
+// as a sim.Actor, so resuming it allocates no closure.
+const (
+	stageStep  = iota // execute the next batch of instructions
+	stageIssue        // hand the prepared request to the port
+	stageDone         // report the finished core to onDone
+)
 
 type syncFrame struct {
 	kind  isa.SyncKind
@@ -180,7 +203,23 @@ func (c *Core) Run(prog *isa.Program, delay uint64) {
 	}
 	c.prog = prog
 	c.started = true
-	c.k.Schedule(delay, c.step)
+	c.k.ScheduleActor(delay, c, nil, stageStep)
+}
+
+// Act runs one of the core's scheduled events (implements sim.Actor).
+//
+//cbsim:hotpath
+func (c *Core) Act(_ any, stage uint64) {
+	switch stage {
+	case stageStep:
+		c.step()
+	case stageIssue:
+		c.issue()
+	case stageDone:
+		c.onDone(c)
+	default:
+		panic(fmt.Sprintf("cpu: core %d unknown event stage %d", c.id, stage))
+	}
 }
 
 // IdleGateThreshold is the minimum memory stall, in cycles, that counts
@@ -195,13 +234,15 @@ const maxBatch = 4096
 
 // step executes instructions until the core blocks on memory, waits, or
 // finishes.
+//
+//cbsim:hotpath
 func (c *Core) step() {
 	var elapsed uint64 // cycles consumed within this batch
 	var rep uint64     // cycles of this batch already flushed to c.cyc
 	for n := 0; ; n++ {
 		if n >= maxBatch {
 			c.flushExec(elapsed, &rep)
-			c.k.Schedule(elapsed, c.step)
+			c.k.ScheduleActor(elapsed, c, nil, stageStep)
 			return
 		}
 		if c.pc < 0 || c.pc >= c.prog.Len() {
@@ -304,7 +345,7 @@ func (c *Core) step() {
 			if c.cyc != nil && wait > 0 {
 				c.cyc(int(c.id), cycles.EvWait, 0, wait, uint64(c.curKind()))
 			}
-			c.k.Schedule(elapsed+wait, c.step)
+			c.k.ScheduleActor(elapsed+wait, c, nil, stageStep)
 			return
 		case isa.Done:
 			c.done = true
@@ -317,8 +358,7 @@ func (c *Core) step() {
 				c.cyc(int(c.id), cycles.EvDone, c.stats.DoneAt, 0, 0)
 			}
 			if c.onDone != nil {
-				done := c.onDone
-				c.k.Schedule(elapsed, func() { done(c) })
+				c.k.ScheduleActor(elapsed, c, nil, stageDone)
 			}
 			return
 		default:
@@ -359,10 +399,15 @@ func (c *Core) backoffInterval() uint64 {
 	return iv
 }
 
-// issueMem builds and issues the memory request for in after the batch's
-// elapsed cycles, and resumes execution when the port responds.
+// issueMem fills the core's request slot for in and issues it after the
+// batch's elapsed cycles; Complete resumes execution when the port
+// responds.
+//
+//cbsim:hotpath
 func (c *Core) issueMem(in *isa.Instr, elapsed uint64) {
-	req := &memtypes.Request{Core: c.id, Sync: len(c.syncStack) > 0}
+	c.opSeq++
+	c.req = memtypes.Request{Core: c.id, Sync: len(c.syncStack) > 0, Seq: c.opSeq}
+	req := &c.req
 	if n := len(c.syncStack); n > 0 {
 		req.SyncKind = uint8(c.syncStack[n-1].kind)
 	}
@@ -403,44 +448,51 @@ func (c *Core) issueMem(in *isa.Instr, elapsed uint64) {
 	default:
 		panic(fmt.Sprintf("cpu: issueMem on %s", in.Op))
 	}
-	if !in.Op.IsMem() {
-		panic("cpu: not a memory op")
-	}
 	if req.Kind != memtypes.OpFenceSelfInvl && req.Kind != memtypes.OpFenceSelfDown {
 		req.Addr = memtypes.Addr(c.regs[in.Base] + uint64(in.Offset))
 		req.Private = c.isPrivate(req.Addr)
 	}
 	c.stats.MemOps++
-	rd := in.Rd
-	isLoad := in.Op == isa.Ld || in.Op == isa.LdT || in.Op == isa.LdCB || in.Op == isa.RMW
-	issue := func() {
-		issuedAt := c.k.Now()
-		if c.cyc != nil {
-			c.cyc(int(c.id), cycles.EvStallBegin, issuedAt,
-				uint64(req.SyncKind), uint64(stallCategory(req.Kind)))
-		}
-		c.port.Access(req, func(resp memtypes.Response) {
-			if c.cyc != nil {
-				c.cyc(int(c.id), cycles.EvStallEnd, c.k.Now(), 0, 0)
-			}
-			if stall := c.k.Now() - issuedAt; stall >= IdleGateThreshold {
-				c.stats.MemStallCycles += stall
-			}
-			if isLoad {
-				c.regs[rd] = resp.Value
-			}
-			if resp.Stale {
-				c.stats.StaleResponses++
-			}
-			c.pc++
-			c.step()
-		})
-	}
+	c.rd = in.Rd
+	c.isLoad = in.Op == isa.Ld || in.Op == isa.LdT || in.Op == isa.LdCB || in.Op == isa.RMW
 	if elapsed == 0 {
-		issue()
+		c.issue()
 	} else {
-		c.k.Schedule(elapsed, issue)
+		c.k.ScheduleActor(elapsed, c, nil, stageIssue)
 	}
+}
+
+// issue hands the prepared request to the L1 port.
+//
+//cbsim:hotpath
+func (c *Core) issue() {
+	c.issuedAt = c.k.Now()
+	if c.cyc != nil {
+		c.cyc(int(c.id), cycles.EvStallBegin, c.issuedAt,
+			uint64(c.req.SyncKind), uint64(stallCategory(c.req.Kind)))
+	}
+	c.port.Access(&c.req, c)
+}
+
+// Complete retires the in-flight memory operation and resumes execution
+// (implements memtypes.Completer).
+//
+//cbsim:hotpath
+func (c *Core) Complete(resp memtypes.Response) {
+	if c.cyc != nil {
+		c.cyc(int(c.id), cycles.EvStallEnd, c.k.Now(), 0, 0)
+	}
+	if stall := c.k.Now() - c.issuedAt; stall >= IdleGateThreshold {
+		c.stats.MemStallCycles += stall
+	}
+	if c.isLoad {
+		c.regs[c.rd] = resp.Value
+	}
+	if resp.Stale {
+		c.stats.StaleResponses++
+	}
+	c.pc++
+	c.step()
 }
 
 // stallCategory picks the fallback attribution for parts of a memory

@@ -22,7 +22,7 @@ func newFakePort(k *sim.Kernel, latency uint64) *fakePort {
 	return &fakePort{k: k, latency: latency, mem: make(map[memtypes.Addr]uint64)}
 }
 
-func (p *fakePort) Access(req *memtypes.Request, done func(memtypes.Response)) {
+func (p *fakePort) Access(req *memtypes.Request, done memtypes.Completer) {
 	p.log = append(p.log, req.Kind)
 	if req.Sync {
 		p.syncOps++
@@ -44,7 +44,7 @@ func (p *fakePort) Access(req *memtypes.Request, done func(memtypes.Response)) {
 		case memtypes.OpFenceSelfInvl, memtypes.OpFenceSelfDown:
 			// no-op
 		}
-		done(resp)
+		done.Complete(resp)
 	})
 }
 
@@ -288,7 +288,7 @@ type classifyPort struct {
 	sawShared  *bool
 }
 
-func (cp *classifyPort) Access(req *memtypes.Request, done func(memtypes.Response)) {
+func (cp *classifyPort) Access(req *memtypes.Request, done memtypes.Completer) {
 	if req.Private {
 		*cp.sawPrivate = true
 	} else {

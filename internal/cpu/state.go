@@ -3,10 +3,11 @@ package cpu
 import "repro/internal/isa"
 
 // This file implements deterministic snapshot/restore for machine
-// warm-starts (machine.Snapshot). A core holds no transient closures of
-// its own at machine quiescence: a blocked memory operation lives as the
-// L1's pending entry (whose State() refuses to snapshot), and everything
-// else is pending kernel events. So a core's state is purely
+// warm-starts (machine.Snapshot). A core's only transient state is its
+// in-flight memory operation: the request slot and completion fields in
+// Core, which the L1's pending entry points at (and whose State()
+// refuses to snapshot). Its resumptions are kernel actor events. At
+// machine quiescence neither exists, so a core's state is purely
 // architectural and can always be captured.
 
 // CoreState is a deep copy of a Core's architectural state. The program

@@ -27,9 +27,9 @@ func (m *Message) Digest(h *digest.Hash) {
 }
 
 // Digest folds the request's architecturally meaningful fields (for
-// hashing a pending L1 operation mid-run). The completion closure is the
-// caller's business and cannot be hashed; the request payload determines
-// what the memory system will do with it.
+// hashing a pending L1 operation mid-run). The completion target is the
+// caller's business, and Seq is only a matching tag; the request payload
+// determines what the memory system will do with it.
 func (r *Request) Digest(h *digest.Hash) {
 	h.Int(int(r.Kind))
 	h.U64(uint64(r.Addr))

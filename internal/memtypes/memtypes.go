@@ -259,6 +259,13 @@ type Request struct {
 	// isa.SyncKind value; 0 when not synchronizing), for per-algorithm
 	// LLC-access attribution.
 	SyncKind uint8
+
+	// Seq is the issuing core's operation sequence number. A core reuses
+	// one Request for all its operations, so the pointer alone cannot
+	// tell two of them apart: controllers copy Seq onto the messages of
+	// a transaction, and the L1 checks a response's Seq against its
+	// pending request to catch a reply meant for an earlier operation.
+	Seq uint64
 }
 
 // NumSyncKinds mirrors isa.NumSyncKinds for counter array sizing without
@@ -277,9 +284,26 @@ type Response struct {
 	Stale bool
 }
 
+// Completer receives the completion of a memory operation. Cores
+// implement it on themselves, so an access allocates no callback.
+type Completer interface {
+	Complete(Response)
+}
+
+// CompleterFunc adapts a plain function to a Completer, for tests and
+// tools that drive a Port directly. A simulated core implements
+// Completer itself instead, since a func value per access would
+// allocate.
+type CompleterFunc func(Response)
+
+// Complete calls f(resp).
+func (f CompleterFunc) Complete(resp Response) { f(resp) }
+
 // Port is the interface cores use to access the memory system. Exactly one
 // outstanding request per core is permitted (in-order blocking cores).
 type Port interface {
-	// Access starts req and invokes done exactly once on completion.
-	Access(req *Request, done func(Response))
+	// Access starts req and calls done.Complete exactly once on
+	// completion. The port may keep req until then, so the caller must
+	// not modify it while the operation is in flight.
+	Access(req *Request, done Completer)
 }

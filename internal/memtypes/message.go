@@ -83,6 +83,14 @@ type Message struct {
 	// Req carries the originating request for racy-op transactions so
 	// the LLC can interpret RMW semantics without extra lookups.
 	Req *Request
+
+	// Seq is Req.Seq as of the request's send: the tag that lets the
+	// requesting L1 match a response to the operation it answers. It is
+	// stamped when the message is built because the core reuses its
+	// Request, so reading Req.Seq later would see the core's newest
+	// operation. Like Req, it is a routing tag and not folded into
+	// digests.
+	Seq uint64
 }
 
 // Flits returns the message size in flits.

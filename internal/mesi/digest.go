@@ -11,10 +11,10 @@ import (
 // This file folds the MESI tile's mutable state into a replay digest.
 // Transient mid-transaction state is represented as data: a pending L1
 // miss hashes its request payload, a busy directory line its ack count
-// and deferred-queue depth. The continuation closures themselves cannot
-// be hashed, but they are pure functions of the hashed request/line
-// state in a deterministic run, so digest equality still implies
-// behavioral equality at the compared boundary.
+// and deferred-queue depth. Scheduled kernel events are not hashed, but
+// they are pure functions of the hashed request/line state in a
+// deterministic run, so digest equality still implies behavioral
+// equality at the compared boundary.
 
 // Digest folds the L1's cache array (MESI line states), any pending
 // miss, the monitor extension's armed state, and the counters.
@@ -22,8 +22,8 @@ func (l *L1) Digest(h *digest.Hash) {
 	l.arr.Digest(h, func(h *digest.Hash, s *l1Line) {
 		h.Int(int(s.state))
 	})
-	h.Bool(l.pending != nil)
-	if l.pending != nil {
+	h.Bool(l.pending.req != nil)
+	if l.pending.req != nil {
 		l.pending.req.Digest(h)
 	}
 	h.Bool(l.monitor.armed)

@@ -40,9 +40,14 @@ type dirLine struct {
 }
 
 // trans is an in-flight directory transaction holding the line busy.
+// A transaction that waits on forwards or invalidation acks keeps its
+// continuation as data: when they complete, msg is granted kind grant
+// (see resume).
 type trans struct {
 	acksPending int
-	cont        func() // run when forwards/acks complete
+	msg         *memtypes.Message // request waiting to be granted; nil if none
+	grant       memtypes.MsgKind  // data kind to grant msg
+	owner       int               // forwarded-to owner (GetS forwards)
 }
 
 // Dir is one LLC bank's directory controller. The directory state itself
@@ -56,9 +61,15 @@ type Dir struct {
 	store *mem.Store
 	data  *mem.Bank
 
-	lines  map[memtypes.Addr]*dirLine
-	busy   map[memtypes.Addr]*trans
-	deferq map[memtypes.Addr][]func()
+	lines map[memtypes.Addr]*dirLine
+	busy  map[memtypes.Addr]*trans
+	// deferq holds the requests that arrived while their line was busy,
+	// in arrival order; end replays them one at a time.
+	deferq map[memtypes.Addr][]*memtypes.Message
+
+	// freeTrans recycles finished transactions.
+	//cbvet:ephemeral allocator free list; holds only finished transactions with no protocol meaning
+	freeTrans []*trans
 
 	// chaos, when non-nil, jitters LLC bank access latencies (fault
 	// injection; nil on the default path).
@@ -92,7 +103,7 @@ func NewDir(k *sim.Kernel, id memtypes.NodeID, mesh *noc.Mesh, store *mem.Store)
 		data:   mem.NewBank(),
 		lines:  make(map[memtypes.Addr]*dirLine),
 		busy:   make(map[memtypes.Addr]*trans),
-		deferq: make(map[memtypes.Addr][]func()),
+		deferq: make(map[memtypes.Addr][]*memtypes.Message),
 	}
 }
 
@@ -118,35 +129,64 @@ func (d *Dir) line(addr memtypes.Addr) *dirLine {
 	return l
 }
 
-// admit runs fn now if the line is idle, otherwise defers it.
-func (d *Dir) admit(addr memtypes.Addr, fn func()) {
-	line := addr.Line()
+// admit serves msg now if its line is idle, otherwise defers it.
+//
+//cbsim:hotpath
+func (d *Dir) admit(msg *memtypes.Message) {
+	line := msg.Addr.Line()
 	if d.busy[line] != nil {
 		d.stats.Deferred++
-		d.deferq[line] = append(d.deferq[line], fn)
+		d.deferq[line] = append(d.deferq[line], msg)
 		return
 	}
-	fn()
+	d.serve(msg)
+}
+
+// serve runs an admitted request.
+func (d *Dir) serve(msg *memtypes.Message) {
+	switch msg.Kind {
+	case MsgGetS:
+		d.handleGetS(msg)
+	case MsgGetX:
+		d.handleGetX(msg)
+	case MsgPutM, MsgPutE:
+		d.handlePut(msg)
+	default:
+		panic(fmt.Sprintf("mesi: dir %d cannot serve %s", d.id, msg))
+	}
 }
 
 // begin marks the line busy for a multi-message transaction.
+//
+//cbsim:hotpath
 func (d *Dir) begin(addr memtypes.Addr) *trans {
 	line := addr.Line()
 	if d.busy[line] != nil {
 		panic(fmt.Sprintf("mesi: dir %d transaction overlap on %s", d.id, line))
 	}
-	t := &trans{}
+	var t *trans
+	if n := len(d.freeTrans); n > 0 {
+		t = d.freeTrans[n-1]
+		d.freeTrans = d.freeTrans[:n-1]
+	} else {
+		t = &trans{} //cbvet:alloc-ok free-list growth, bounded by the peak number of concurrent transactions
+	}
 	d.busy[line] = t
 	return t
 }
 
 // end completes the line's transaction and replays one deferred request.
+//
+//cbsim:hotpath
 func (d *Dir) end(addr memtypes.Addr) {
 	line := addr.Line()
-	if d.busy[line] == nil {
+	t := d.busy[line]
+	if t == nil {
 		panic(fmt.Sprintf("mesi: dir %d ending idle line %s", d.id, line))
 	}
 	delete(d.busy, line)
+	*t = trans{}
+	d.freeTrans = append(d.freeTrans, t)
 	if q := d.deferq[line]; len(q) > 0 {
 		next := q[0]
 		if len(q) == 1 {
@@ -154,7 +194,7 @@ func (d *Dir) end(addr memtypes.Addr) {
 		} else {
 			d.deferq[line] = q[1:]
 		}
-		next()
+		d.serve(next)
 	}
 }
 
@@ -178,14 +218,11 @@ func (d *Dir) cycArrive(msg *memtypes.Message) {
 // Deliver routes L1-to-directory messages.
 func (d *Dir) Deliver(msg *memtypes.Message) {
 	switch msg.Kind {
-	case MsgGetS:
+	case MsgGetS, MsgGetX:
 		d.cycArrive(msg)
-		d.admit(msg.Addr, func() { d.handleGetS(msg) })
-	case MsgGetX:
-		d.cycArrive(msg)
-		d.admit(msg.Addr, func() { d.handleGetX(msg) })
+		d.admit(msg)
 	case MsgPutM, MsgPutE:
-		d.admit(msg.Addr, func() { d.handlePut(msg) })
+		d.admit(msg)
 	case MsgInvAck:
 		d.handleInvAck(msg)
 	case MsgDataWB:
@@ -195,31 +232,60 @@ func (d *Dir) Deliver(msg *memtypes.Message) {
 	}
 }
 
-// grant sends a data response after an LLC access and recycles the
-// request message: it is the terminal step of every GetS/GetX
+// grant sends a kind data response to msg's requester after an LLC
+// access, through a Dir event. It is the terminal step of every GetS/GetX
 // transaction.
-func (d *Dir) grant(msg *memtypes.Message, kind memtypes.MsgKind, done func()) {
+//
+//cbsim:hotpath
+func (d *Dir) grant(msg *memtypes.Message, kind memtypes.MsgKind) {
 	lat := d.accessLat(msg.Addr, true, reqSyncKind(msg.Req))
 	if d.cyc != nil {
 		d.cyc(int(msg.Core), cycles.EvSpan, d.k.Now(), d.k.Now()+lat,
 			uint64(cycles.CatLLCStall))
 	}
-	d.k.Schedule(lat, func() {
-		data := d.mesh.NewMessage()
-		*data = memtypes.Message{
-			Src: d.id, Dst: msg.Src, Kind: kind,
-			Class: memtypes.ClassLineData, Addr: msg.Addr, Core: msg.Core,
-			LineData: d.store.LoadLine(msg.Addr),
-		}
-		d.mesh.Send(data)
-		if d.cyc != nil {
-			d.cyc(int(data.Core), cycles.EvOpen, d.k.Now(), uint64(cycles.CatNoC), 0)
-		}
-		if done != nil {
-			done()
-		}
-		d.mesh.Free(msg)
-	})
+	d.k.ScheduleActor(lat, d, msg, uint64(kind))
+}
+
+// Act fires a grant scheduled by grant (implements sim.Actor): data is
+// the request message and kind the data kind. It sends the line, ends
+// the transaction (replaying one deferred request), and recycles the
+// request.
+//
+//cbsim:hotpath
+func (d *Dir) Act(data any, kind uint64) {
+	msg := data.(*memtypes.Message)
+	resp := d.mesh.NewMessage()
+	*resp = memtypes.Message{
+		Src: d.id, Dst: msg.Src, Kind: memtypes.MsgKind(kind),
+		Class: memtypes.ClassLineData, Addr: msg.Addr, Core: msg.Core,
+		LineData: d.store.LoadLine(msg.Addr), Seq: msg.Seq,
+	}
+	d.mesh.Send(resp)
+	if d.cyc != nil {
+		d.cyc(int(resp.Core), cycles.EvOpen, d.k.Now(), uint64(cycles.CatNoC), 0)
+	}
+	d.end(msg.Addr)
+	d.mesh.Free(msg)
+}
+
+// resume finishes a transaction whose forwards or invalidation acks have
+// all arrived: the line takes its new owner or sharers and the waiting
+// request is granted.
+func (d *Dir) resume(t *trans) {
+	msg := t.msg
+	t.msg = nil
+	if d.cyc != nil {
+		d.cyc(int(msg.Core), cycles.EvClose, d.k.Now(), 0, 0)
+	}
+	l := d.line(msg.Addr)
+	if t.grant == MsgDataS {
+		l.owner = -1
+		l.sharers = 1<<uint(t.owner) | 1<<uint(msg.Src)
+	} else {
+		l.owner = int(msg.Src)
+		l.sharers = 0
+	}
+	d.grant(msg, t.grant)
 }
 
 func (d *Dir) handleGetS(msg *memtypes.Message) {
@@ -243,14 +309,7 @@ func (d *Dir) handleGetS(msg *memtypes.Message) {
 		if d.cyc != nil { // the owner round trip is coherence work
 			d.cyc(int(msg.Core), cycles.EvOpen, d.k.Now(), uint64(cycles.CatCoherenceStall), 0)
 		}
-		t.cont = func() {
-			if d.cyc != nil {
-				d.cyc(int(msg.Core), cycles.EvClose, d.k.Now(), 0, 0)
-			}
-			l.owner = -1
-			l.sharers = 1<<uint(owner) | 1<<uint(r)
-			d.grant(msg, MsgDataS, func() { d.end(msg.Addr) })
-		}
+		t.msg, t.grant, t.owner = msg, MsgDataS, owner
 		return
 	}
 	d.begin(msg.Addr)
@@ -258,11 +317,11 @@ func (d *Dir) handleGetS(msg *memtypes.Message) {
 		// No copies: grant clean-exclusive.
 		d.stats.EGrants++
 		l.owner = r
-		d.grant(msg, MsgDataE, func() { d.end(msg.Addr) })
+		d.grant(msg, MsgDataE)
 		return
 	}
 	l.sharers |= 1 << uint(r)
-	d.grant(msg, MsgDataS, func() { d.end(msg.Addr) })
+	d.grant(msg, MsgDataS)
 }
 
 func (d *Dir) handleGetX(msg *memtypes.Message) {
@@ -285,14 +344,7 @@ func (d *Dir) handleGetX(msg *memtypes.Message) {
 		if d.cyc != nil { // the owner round trip is coherence work
 			d.cyc(int(msg.Core), cycles.EvOpen, d.k.Now(), uint64(cycles.CatCoherenceStall), 0)
 		}
-		t.cont = func() {
-			if d.cyc != nil {
-				d.cyc(int(msg.Core), cycles.EvClose, d.k.Now(), 0, 0)
-			}
-			l.owner = r
-			l.sharers = 0
-			d.grant(msg, MsgDataX, func() { d.end(msg.Addr) })
-		}
+		t.msg, t.grant = msg, MsgDataX
 		return
 	}
 	toInv := l.sharers &^ (1 << uint(r))
@@ -322,19 +374,12 @@ func (d *Dir) handleGetX(msg *memtypes.Message) {
 		if d.cyc != nil { // the invalidation round is coherence work
 			d.cyc(int(msg.Core), cycles.EvOpen, d.k.Now(), uint64(cycles.CatCoherenceStall), 0)
 		}
-		t.cont = func() {
-			if d.cyc != nil {
-				d.cyc(int(msg.Core), cycles.EvClose, d.k.Now(), 0, 0)
-			}
-			l.owner = r
-			l.sharers = 0
-			d.grant(msg, MsgDataX, func() { d.end(msg.Addr) })
-		}
+		t.msg, t.grant = msg, MsgDataX
 		return
 	}
 	l.owner = r
 	l.sharers = 0
-	d.grant(msg, MsgDataX, func() { d.end(msg.Addr) })
+	d.grant(msg, MsgDataX)
 }
 
 func (d *Dir) handlePut(msg *memtypes.Message) {
@@ -369,17 +414,15 @@ func (d *Dir) handleInvAck(msg *memtypes.Message) {
 	d.mesh.Free(msg)
 	t.acksPending--
 	if t.acksPending == 0 {
-		t.cont()
+		d.resume(t)
 	}
 }
 
 func (d *Dir) handleDataWB(msg *memtypes.Message) {
 	t := d.busy[msg.Addr.Line()]
-	if t == nil || t.cont == nil {
+	if t == nil || t.msg == nil {
 		panic(fmt.Sprintf("mesi: dir %d spurious DataWB for %s", d.id, msg.Addr))
 	}
 	d.mesh.Free(msg)
-	cont := t.cont
-	t.cont = nil
-	cont()
+	d.resume(t)
 }

@@ -51,10 +51,18 @@ type l1Line struct {
 	state State
 }
 
+// l1Pending is the outstanding core operation; req is nil when there is
+// none.
 type l1Pending struct {
 	req  *memtypes.Request
-	done func(memtypes.Response)
+	done memtypes.Completer
 }
+
+// L1 event stages, passed as the arg of Act.
+const (
+	evRespond = iota // deliver the response slot to its core
+	evResume         // re-issue the load of a woken monitor
+)
 
 // L1 is one core's private MESI cache controller; it implements
 // memtypes.Port.
@@ -66,7 +74,15 @@ type L1 struct {
 	bankOf func(memtypes.Addr) memtypes.NodeID
 
 	arr     *cache.Array[l1Line]
-	pending *l1Pending
+	pending l1Pending
+
+	// The one-slot response event: the completion and its target wait
+	// here from finish until the evRespond event fires. A core has one
+	// operation in flight, so one slot is enough.
+	//cbvet:ephemeral response in transit to the core, consumed by the response event already scheduled; a quiescent machine has none
+	resp memtypes.Response
+	//cbvet:ephemeral response in transit to the core, consumed by the response event already scheduled; a quiescent machine has none
+	respTo memtypes.Completer
 
 	// Monitor (quiesce/MWAIT) extension state; see monitor.go.
 	//cbvet:ephemeral configuration toggle set at wiring time, never changed mid-run
@@ -126,8 +142,10 @@ func mapKind(k memtypes.OpKind) memtypes.OpKind {
 }
 
 // Access implements memtypes.Port.
-func (l *L1) Access(req *memtypes.Request, done func(memtypes.Response)) {
-	if l.pending != nil {
+//
+//cbsim:hotpath
+func (l *L1) Access(req *memtypes.Request, done memtypes.Completer) {
+	if l.pending.req != nil {
 		panic(fmt.Sprintf("mesi: core %d issued a second request while one is outstanding", l.id))
 	}
 	if l.monitorEnabled && req.Kind == memtypes.OpReadCB {
@@ -141,10 +159,10 @@ func (l *L1) Access(req *memtypes.Request, done func(memtypes.Response)) {
 			l.cyc(int(l.id), cycles.EvSpan, l.k.Now(),
 				l.k.Now()+mem.DefaultL1Latency, uint64(cycles.CatL1Stall))
 		}
-		l.k.Schedule(mem.DefaultL1Latency, func() { done(memtypes.Response{}) })
+		l.respond(mem.DefaultL1Latency, done, memtypes.Response{})
 		return
 	}
-	l.pending = &l1Pending{req: req, done: done}
+	l.pending = l1Pending{req: req, done: done}
 	l.stats.Accesses++
 	line := l.arr.Lookup(req.Addr)
 	switch kind {
@@ -174,12 +192,41 @@ func (l *L1) Access(req *memtypes.Request, done func(memtypes.Response)) {
 	}
 }
 
+// respond hands resp to done after delay cycles through the one-slot
+// response event.
+//
+//cbsim:hotpath
+func (l *L1) respond(delay uint64, done memtypes.Completer, resp memtypes.Response) {
+	if l.respTo != nil {
+		panic(fmt.Sprintf("mesi: core %d response slot already in use", l.id))
+	}
+	l.resp, l.respTo = resp, done
+	l.k.ScheduleActor(delay, l, nil, evRespond)
+}
+
+// Act runs one of the L1's scheduled events (implements sim.Actor).
+//
+//cbsim:hotpath
+func (l *L1) Act(_ any, ev uint64) {
+	switch ev {
+	case evRespond:
+		done := l.respTo
+		l.respTo = nil
+		done.Complete(l.resp)
+	case evResume:
+		l.resumeMonitor()
+	default:
+		panic(fmt.Sprintf("mesi: L1 %d unknown event stage %d", l.id, ev))
+	}
+}
+
+//cbsim:hotpath
 func (l *L1) request(kind memtypes.MsgKind, req *memtypes.Request) {
 	msg := l.mesh.NewMessage()
 	*msg = memtypes.Message{
 		Src: l.id, Dst: l.bankOf(req.Addr), Kind: kind,
 		Class: memtypes.ClassControl, Addr: req.Addr.Line(),
-		Core: l.id, Req: req,
+		Core: l.id, Req: req, Seq: req.Seq,
 	}
 	l.mesh.Send(msg)
 	if l.cyc != nil {
@@ -189,9 +236,11 @@ func (l *L1) request(kind memtypes.MsgKind, req *memtypes.Request) {
 
 // finish applies the pending operation to a resident line with the
 // required permissions and responds to the core.
+//
+//cbsim:hotpath
 func (l *L1) finish(line *cache.Line[l1Line], delay uint64, hit bool) {
 	p := l.pending
-	l.pending = nil
+	l.pending = l1Pending{}
 	req := p.req
 	w := req.Addr.WordIndex()
 	resp := memtypes.Response{Hit: hit}
@@ -215,13 +264,15 @@ func (l *L1) finish(line *cache.Line[l1Line], delay uint64, hit bool) {
 		}
 		resp.Value = old
 	}
-	l.k.Schedule(delay, func() { p.done(resp) })
+	l.respond(delay, p.done, resp)
 }
 
-// handleData installs a granted line and completes the pending miss.
+// handleData installs a granted line and completes the pending miss. The
+// grant must answer the pending operation itself: same line and same
+// operation sequence number.
 func (l *L1) handleData(msg *memtypes.Message) {
-	if l.pending == nil || l.pending.req.Addr.Line() != msg.Addr {
-		panic(fmt.Sprintf("mesi: core %d unexpected data for %s", l.id, msg.Addr))
+	if p := l.pending.req; p == nil || p.Addr.Line() != msg.Addr || p.Seq != msg.Seq {
+		panic(fmt.Sprintf("mesi: core %d unexpected data for %s (op %d)", l.id, msg.Addr, msg.Seq))
 	}
 	if l.cyc != nil {
 		l.cyc(int(l.id), cycles.EvClose, l.k.Now(), 0, 0)

@@ -35,8 +35,10 @@ type MonitorStats struct {
 type monitorState struct {
 	armed bool
 	addr  memtypes.Addr // line being monitored
-	// resume re-executes the monitored load after a wakeup.
-	resume func()
+	// req and done are the halted load, re-executed by the evResume
+	// event after a wakeup. They outlive armed by that one event.
+	req  *memtypes.Request
+	done memtypes.Completer
 }
 
 // EnableMonitor turns on MONITOR/MWAIT handling for OpReadCB requests:
@@ -69,7 +71,7 @@ func (l *L1) monObserve(addr memtypes.Addr, what string) {
 // The guard ld_through of the spin idiom maps to a plain load, so the
 // "value already present" case completes there; only the repeated
 // blocking reads halt, exactly like an MWAIT-based spin loop.
-func (l *L1) accessMonitored(req *memtypes.Request, done func(memtypes.Response)) {
+func (l *L1) accessMonitored(req *memtypes.Request, done memtypes.Completer) {
 	if l.monitor.armed {
 		panic(fmt.Sprintf("mesi: core %d armed a second monitor", l.id))
 	}
@@ -79,7 +81,7 @@ func (l *L1) accessMonitored(req *memtypes.Request, done func(memtypes.Response)
 		// Miss: a fresh fill observes the current value; treat as an
 		// ordinary load (the fill is the "new value" notification).
 		l.stats.Misses++
-		l.pending = &l1Pending{req: req, done: done}
+		l.pending = l1Pending{req: req, done: done}
 		l.request(MsgGetS, req)
 		return
 	}
@@ -93,19 +95,19 @@ func (l *L1) accessMonitored(req *memtypes.Request, done func(memtypes.Response)
 		// The halted core is blocked exactly like a parked callback.
 		l.cyc(int(l.id), cycles.EvOpen, l.k.Now(), uint64(cycles.CatCBBlocked), 0)
 	}
-	l.monitor = monitorState{
-		armed: true,
-		addr:  req.Addr.Line(),
-		resume: func() {
-			l.monStats.Wakeups++
-			// Re-execute as an ordinary load: it will miss (the line
-			// was just invalidated) and fetch the new value.
-			l.pending = &l1Pending{req: req, done: done}
-			l.stats.Accesses++
-			l.stats.Misses++
-			l.request(MsgGetS, req)
-		},
-	}
+	l.monitor = monitorState{armed: true, addr: req.Addr.Line(), req: req, done: done}
+}
+
+// resumeMonitor re-executes a woken monitor's load as an ordinary load:
+// it will miss (the line was just invalidated) and fetch the new value.
+func (l *L1) resumeMonitor() {
+	req, done := l.monitor.req, l.monitor.done
+	l.monitor = monitorState{}
+	l.monStats.Wakeups++
+	l.pending = l1Pending{req: req, done: done}
+	l.stats.Accesses++
+	l.stats.Misses++
+	l.request(MsgGetS, req)
 }
 
 // monitorInvalidated fires when an invalidation (or forward) kills the
@@ -114,12 +116,11 @@ func (l *L1) monitorInvalidated(addr memtypes.Addr) {
 	if !l.monitor.armed || l.monitor.addr != addr.Line() {
 		return
 	}
-	resume := l.monitor.resume
-	l.monitor = monitorState{}
+	l.monitor.armed = false
 	l.monObserve(addr.Line(), "mon.wake")
 	if l.cyc != nil {
 		l.cyc(int(l.id), cycles.EvClose, l.k.Now(), 0, 0)
 	}
 	// The wakeup costs one cycle of monitor logic before the reload.
-	l.k.Schedule(mem.DefaultL1Latency, resume)
+	l.k.ScheduleActor(mem.DefaultL1Latency, l, nil, evResume)
 }

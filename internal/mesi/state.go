@@ -10,12 +10,15 @@ import (
 
 // This file implements deterministic snapshot/restore for machine
 // warm-starts (machine.Snapshot). A tile may only be snapshotted at
-// quiescence with no transient protocol state: no pending L1 operation
-// (its done callback is a closure), no armed monitor (its resume is a
-// closure — and an armed monitor at kernel drain is a deadlock anyway),
-// and no busy directory lines or deferred requests. For the states
-// snapshots are taken from — a freshly built machine, or a machine whose
-// programs ran to completion and quiesced — all of these are empty by
+// quiescence with no transient protocol state: no pending L1 operation,
+// no armed monitor (an armed monitor at kernel drain is a deadlock
+// anyway), and no busy directory lines or deferred requests. These are
+// plain data — the pending entry holds the core's request and its
+// completion target, a busy line holds the request message it will
+// grant — but they are paired with scheduled kernel events and in-flight
+// messages, which a snapshot cannot capture. For the states snapshots
+// are taken from — a freshly built machine, or a machine whose programs
+// ran to completion and quiesced — all of these are empty by
 // construction.
 
 // L1State is a deep copy of a quiescent MESI L1's mutable state.
@@ -28,7 +31,7 @@ type L1State struct {
 // State captures the L1's mutable state, failing if a memory operation
 // or monitor is outstanding.
 func (l *L1) State() (L1State, error) {
-	if l.pending != nil {
+	if l.pending.req != nil {
 		return L1State{}, fmt.Errorf("mesi: L1 %d has a pending operation", l.id)
 	}
 	if l.monitor.armed {
@@ -41,7 +44,8 @@ func (l *L1) State() (L1State, error) {
 // operation and disarming the monitor.
 func (l *L1) SetState(st L1State) {
 	l.arr.SetState(st.Arr)
-	l.pending = nil
+	l.pending = l1Pending{}
+	l.respTo = nil
 	l.monitor = monitorState{}
 	l.stats = st.Stats
 	l.monStats = st.MonStats

@@ -57,19 +57,6 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
-// ------------------------------------------------------------------ gauges
-
-// Gauge is a value that can go up and down. Safe for concurrent use.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
 // -------------------------------------------------------------- histograms
 
 // Histogram counts observations into fixed buckets (cumulative at
@@ -171,7 +158,6 @@ type series struct {
 	labels    []Label
 	signature string // canonical rendering of labels, for dedup and sort
 	counter   *Counter
-	gauge     *Gauge
 	gaugeFn   func() float64
 	hist      *Histogram
 }
@@ -273,16 +259,6 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	return s.counter
 }
 
-// Gauge returns the gauge registered under name+labels, creating it on
-// first use.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	s, fresh := r.lookup(name, help, TypeGauge, labels)
-	if fresh {
-		s.gauge = &Gauge{}
-	}
-	return s.gauge
-}
-
 // GaugeFunc registers a gauge whose value is computed by fn at exposition
 // time (queue depths, cache sizes: state that already lives elsewhere).
 // Re-registering the same name+labels replaces the function.
@@ -345,8 +321,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				v := 0.0
 				if s.gaugeFn != nil {
 					v = s.gaugeFn()
-				} else if s.gauge != nil {
-					v = s.gauge.Value()
 				}
 				fmt.Fprintf(&b, "%s %s\n", seriesName(f.name, s.signature, ""), formatFloat(v))
 			case TypeHistogram:

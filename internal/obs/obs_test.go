@@ -12,8 +12,7 @@ func TestCounterGaugeRender(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("jobs_total", "Jobs ever submitted.")
 	c.Add(3)
-	g := r.Gauge("queue_depth", "Jobs waiting.")
-	g.Set(2)
+	r.GaugeFunc("queue_depth", "Jobs waiting.", func() float64 { return 2 })
 	r.GaugeFunc("workers", "Worker count.", func() float64 { return 8 })
 
 	var b strings.Builder
@@ -62,7 +61,7 @@ func TestTypeConflictPanics(t *testing.T) {
 	}()
 	r := NewRegistry()
 	r.Counter("x", "")
-	r.Gauge("x", "")
+	r.GaugeFunc("x", "", func() float64 { return 0 })
 }
 
 func TestInvalidNamePanics(t *testing.T) {
@@ -139,7 +138,7 @@ func TestHistogramConcurrent(t *testing.T) {
 func TestParseRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("a_total", "help text").Add(7)
-	r.Gauge("g", "", L("x", "y"), L("q", `va"l`)).Set(1.5)
+	r.GaugeFunc("g", "", func() float64 { return 1.5 }, L("x", "y"), L("q", `va"l`))
 	h := r.Histogram("lat_cycles", "", []float64{1, 4})
 	h.Observe(2)
 

@@ -652,9 +652,6 @@ func (s *Server) Drain(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// Draining reports whether Drain has been initiated.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // -------------------------------------------------------------- handlers
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

@@ -54,7 +54,11 @@ type Bank struct {
 	// busy and deferq implement the per-line LLC MSHR lock: operations
 	// on a locked line queue FIFO until the holder releases.
 	busy   map[memtypes.Addr]bool
-	deferq map[memtypes.Addr][]func()
+	deferq map[memtypes.Addr][]*memtypes.Message
+
+	// freeWakes recycles delayed-wake records (see wakeAfter).
+	//cbvet:ephemeral allocator free list; holds only delivered wakes with no protocol meaning
+	freeWakes []*wakeEvent
 
 	// parked holds callback reads (and RMWs) blocked in the callback
 	// directory, keyed by word address then core.
@@ -82,7 +86,7 @@ func NewBank(k *sim.Kernel, id memtypes.NodeID, mesh *noc.Mesh, store *mem.Store
 		mode:       cfg.Mode,
 		data:       mem.NewBank(),
 		busy:       make(map[memtypes.Addr]bool),
-		deferq:     make(map[memtypes.Addr][]func()),
+		deferq:     make(map[memtypes.Addr][]*memtypes.Message),
 		parked:     make(map[memtypes.Addr]map[memtypes.NodeID]*memtypes.Message),
 		queueLocks: make(map[memtypes.Addr]*qlState),
 	}
@@ -144,23 +148,37 @@ func reqSyncKind(req *memtypes.Request) uint8 {
 	return req.SyncKind
 }
 
-// withLine runs fn under the line lock for addr's line; fn must call the
-// release function it receives exactly once when the line may be handed
-// to the next queued operation.
-func (b *Bank) withLine(addr memtypes.Addr, fn func(release func())) {
-	line := addr.Line()
-	run := func() {
-		fn(func() { b.release(line) })
-	}
+// Bank event stages, passed as the arg of Act. Every event but evWake
+// carries the request message it serves as data.
+const (
+	evFill      = iota // line read done: send the fill, release the line
+	evWTAck            // write-through absorbed: ack it, release the line
+	evLoad             // racy load's LLC access done: answer, release the line
+	evWriteAck         // racy write's LLC access done: ack, release the line
+	evRMW              // atomic's LLC access done: execute it, release the line
+	evConsultCB        // callback-directory read of a ld_cb (or RMW ld_cb half) done
+	evWake             // delayed wake; data is a *wakeEvent
+)
+
+// withLine runs msg's line-locked step under the lock of msg's line, or
+// queues msg FIFO behind the current holder. Each locked step schedules
+// an event that releases the line when it fires.
+//
+//cbsim:hotpath
+func (b *Bank) withLine(msg *memtypes.Message) {
+	line := msg.Addr.Line()
 	if b.busy[line] {
 		b.stats.Deferred++
-		b.deferq[line] = append(b.deferq[line], run)
+		b.deferq[line] = append(b.deferq[line], msg)
 		return
 	}
 	b.busy[line] = true
-	run()
+	b.locked(msg)
 }
 
+// release hands line to its next queued operation, or unlocks it.
+//
+//cbsim:hotpath
 func (b *Bank) release(line memtypes.Addr) {
 	if q := b.deferq[line]; len(q) > 0 {
 		next := q[0]
@@ -169,10 +187,96 @@ func (b *Bank) release(line memtypes.Addr) {
 		} else {
 			b.deferq[line] = q[1:]
 		}
-		next()
+		b.locked(next)
 		return
 	}
 	delete(b.busy, line)
+}
+
+// locked runs the line-locked step of msg's operation.
+//
+//cbsim:hotpath
+func (b *Bank) locked(msg *memtypes.Message) {
+	switch msg.Kind {
+	case MsgGetLine:
+		b.access(msg, msg.Addr, evFill)
+	case MsgWTLine:
+		b.writeLine(msg)
+	default:
+		switch msg.Req.Kind {
+		case memtypes.OpReadThrough, memtypes.OpReadCB:
+			b.access(msg, msg.Req.Addr, evLoad)
+		case memtypes.OpRMW:
+			b.access(msg, msg.Req.Addr, evRMW)
+		default:
+			b.writeWord(msg)
+		}
+	}
+}
+
+// access schedules ev for msg after the LLC access to addr, booked to the
+// requester as LLC stall.
+//
+//cbsim:hotpath
+func (b *Bank) access(msg *memtypes.Message, addr memtypes.Addr, ev uint64) {
+	lat := b.accessLat(addr, true, reqSyncKind(msg.Req))
+	b.cycSpan(msg.Core, lat, cycles.CatLLCStall)
+	b.k.ScheduleActor(lat, b, msg, ev)
+}
+
+// Act fires one of the bank's scheduled events (implements sim.Actor).
+//
+//cbsim:hotpath
+func (b *Bank) Act(data any, ev uint64) {
+	if ev == evWake {
+		w := data.(*wakeEvent)
+		cores, addr, value := w.cores, w.addr, w.value
+		*w = wakeEvent{}
+		b.freeWakes = append(b.freeWakes, w)
+		b.wake(cores, addr, value, false)
+		return
+	}
+	msg := data.(*memtypes.Message)
+	line := msg.Addr.Line()
+	switch ev {
+	case evFill:
+		fill := b.mesh.NewMessage()
+		*fill = memtypes.Message{
+			Src: b.id, Dst: msg.Src, Kind: MsgDataLine,
+			Class: memtypes.ClassLineData, Addr: msg.Addr,
+			Core: msg.Core, LineData: b.store.LoadLine(msg.Addr), Seq: msg.Seq,
+		}
+		b.mesh.Free(msg)
+		b.mesh.Send(fill)
+		if b.cyc != nil {
+			b.cyc(int(fill.Core), cycles.EvOpen, b.k.Now(), uint64(cycles.CatNoC), 0)
+		}
+		b.release(line)
+	case evWTAck:
+		ack := b.mesh.NewMessage()
+		*ack = memtypes.Message{
+			Src: b.id, Dst: msg.Src, Kind: MsgWTAck,
+			Class: memtypes.ClassControl, Addr: msg.Addr, Core: msg.Core,
+		}
+		b.mesh.Free(msg)
+		b.mesh.Send(ack)
+		b.release(line)
+	case evLoad:
+		b.respond(msg, b.store.Load(msg.Req.Addr), false)
+		b.release(line)
+	case evWriteAck:
+		b.ack(msg)
+		b.release(line)
+	case evRMW:
+		b.executeRMW(msg)
+		b.release(line)
+	case evConsultCB:
+		if b.consultCB(msg) {
+			b.withLine(msg)
+		}
+	default:
+		panic(fmt.Sprintf("vips: bank %d unknown event stage %d", b.id, ev))
+	}
 }
 
 // Deliver routes L1-to-bank messages.
@@ -182,9 +286,9 @@ func (b *Bank) Deliver(msg *memtypes.Message) {
 		if b.cyc != nil { // the demand request's NoC leg ends here
 			b.cyc(int(msg.Core), cycles.EvClose, b.k.Now(), 0, 0)
 		}
-		b.handleGetLine(msg)
+		b.withLine(msg)
 	case MsgWTLine:
-		b.handleWTLine(msg) // background write-through: not a core stall leg
+		b.withLine(msg) // background write-through: not a core stall leg
 	case MsgRacy:
 		if b.cyc != nil {
 			b.cyc(int(msg.Core), cycles.EvClose, b.k.Now(), 0, 0)
@@ -195,58 +299,28 @@ func (b *Bank) Deliver(msg *memtypes.Message) {
 	}
 }
 
-func (b *Bank) handleGetLine(msg *memtypes.Message) {
-	b.withLine(msg.Addr, func(release func()) {
-		lat := b.accessLat(msg.Addr, true, reqSyncKind(msg.Req))
-		b.cycSpan(msg.Core, lat, cycles.CatLLCStall)
-		b.k.Schedule(lat, func() {
-			data := b.mesh.NewMessage()
-			*data = memtypes.Message{
-				Src: b.id, Dst: msg.Src, Kind: MsgDataLine,
-				Class: memtypes.ClassLineData, Addr: msg.Addr,
-				Core: msg.Core, LineData: b.store.LoadLine(msg.Addr),
+// writeLine is the line-locked step of a write-through: it stores the
+// dirty words and schedules the ack.
+func (b *Bank) writeLine(msg *memtypes.Message) {
+	b.store.StoreLineWords(msg.Addr, msg.LineData, msg.Mask)
+	// An ordinary write-through behaves as a normal write for any
+	// callback entries covering its words: reset to All mode and
+	// wake everyone (Section 2.4: "any normal write or read
+	// resets the A/O bit to All").
+	if b.cbdir != nil {
+		base := msg.Addr.Line()
+		for i, m := range msg.Mask {
+			if !m {
+				continue
 			}
-			b.mesh.Free(msg)
-			b.mesh.Send(data)
-			if b.cyc != nil {
-				b.cyc(int(data.Core), cycles.EvOpen, b.k.Now(), uint64(cycles.CatNoC), 0)
-			}
-			release()
-		})
-	})
-}
-
-func (b *Bank) handleWTLine(msg *memtypes.Message) {
-	b.withLine(msg.Addr, func(release func()) {
-		b.store.StoreLineWords(msg.Addr, msg.LineData, msg.Mask)
-		// An ordinary write-through behaves as a normal write for any
-		// callback entries covering its words: reset to All mode and
-		// wake everyone (Section 2.4: "any normal write or read
-		// resets the A/O bit to All").
-		if b.cbdir != nil {
-			base := msg.Addr.Line()
-			for i, m := range msg.Mask {
-				if !m {
-					continue
-				}
-				w := base + memtypes.Addr(i*memtypes.WordBytes)
-				if b.cbdir.HasEntry(w) {
-					b.wakeAfter(0, b.cbdir.Write(w, memtypes.CBAll), w, msg.LineData[i])
-				}
+			w := base + memtypes.Addr(i*memtypes.WordBytes)
+			if b.cbdir.HasEntry(w) {
+				b.wakeAfter(0, b.cbdir.Write(w, memtypes.CBAll), w, msg.LineData[i])
 			}
 		}
-		lat := b.accessLat(msg.Addr, true, 0)
-		b.k.Schedule(lat, func() {
-			ack := b.mesh.NewMessage()
-			*ack = memtypes.Message{
-				Src: b.id, Dst: msg.Src, Kind: MsgWTAck,
-				Class: memtypes.ClassControl, Addr: msg.Addr, Core: msg.Core,
-			}
-			b.mesh.Free(msg)
-			b.mesh.Send(ack)
-			release()
-		})
-	})
+	}
+	lat := b.accessLat(msg.Addr, true, 0)
+	b.k.ScheduleActor(lat, b, msg, evWTAck)
 }
 
 func (b *Bank) handleRacy(msg *memtypes.Message) {
@@ -272,7 +346,7 @@ func (b *Bank) handleRacy(msg *memtypes.Message) {
 		b.callbackRead(msg)
 	case memtypes.OpWriteThrough, memtypes.OpWriteCB1, memtypes.OpWriteCB0:
 		b.stats.RacyWrites++
-		b.racyWrite(msg)
+		b.withLine(msg) // st_through / st_cb1 / st_cb0: see writeWord
 	case memtypes.OpRMW:
 		b.stats.RMWs++
 		b.rmw(msg)
@@ -290,14 +364,7 @@ func (b *Bank) readThrough(msg *memtypes.Message) {
 		b.cbdir.ReadThrough(int(msg.Core), msg.Req.Addr)
 		b.observeOcc(msg.Req.Addr)
 	}
-	b.withLine(msg.Req.Addr, func(release func()) {
-		lat := b.accessLat(msg.Req.Addr, true, reqSyncKind(msg.Req))
-		b.cycSpan(msg.Core, lat, cycles.CatLLCStall)
-		b.k.Schedule(lat, func() {
-			b.respond(msg, b.store.Load(msg.Req.Addr), false)
-			release()
-		})
-	})
+	b.withLine(msg)
 }
 
 // callbackRead serves a ld_cb: consult the directory first (1 cycle);
@@ -306,47 +373,38 @@ func (b *Bank) readThrough(msg *memtypes.Message) {
 func (b *Bank) callbackRead(msg *memtypes.Message) {
 	b.stats.CBDirAccesses++
 	b.cycSpan(msg.Core, b.cbdirLat, cycles.CatCoherenceStall)
-	b.k.Schedule(b.cbdirLat, func() {
-		res, ev := b.cbdir.CallbackRead(int(msg.Core), msg.Req.Addr)
-		b.answerEviction(ev)
-		b.observeOcc(msg.Req.Addr)
-		if res == core.ReadBlocked {
-			b.park(msg)
-			return
-		}
-		b.withLine(msg.Req.Addr, func(release func()) {
-			lat := b.accessLat(msg.Req.Addr, true, reqSyncKind(msg.Req))
-			b.cycSpan(msg.Core, lat, cycles.CatLLCStall)
-			b.k.Schedule(lat, func() {
-				b.respond(msg, b.store.Load(msg.Req.Addr), false)
-				release()
-			})
-		})
-	})
+	b.k.ScheduleActor(b.cbdirLat, b, msg, evConsultCB)
 }
 
-// racyWrite serves st_through / st_cb1 / st_cb0: write the word, wake the
-// selected callbacks (directory consulted in parallel with the LLC), and
-// ack the writer.
-func (b *Bank) racyWrite(msg *memtypes.Message) {
+// consultCB performs the callback-directory read of a ld_cb or of an
+// RMW's ld_cb half. It parks a blocked operation and reports whether the
+// operation may proceed to the LLC.
+func (b *Bank) consultCB(msg *memtypes.Message) bool {
+	res, ev := b.cbdir.CallbackRead(int(msg.Core), msg.Req.Addr)
+	b.answerEviction(ev)
+	b.observeOcc(msg.Req.Addr)
+	if res == core.ReadBlocked {
+		b.park(msg)
+		return false
+	}
+	return true
+}
+
+// writeWord is the line-locked step of a racy write: write the word,
+// wake the selected callbacks (directory consulted in parallel with the
+// LLC), and schedule the writer's ack.
+func (b *Bank) writeWord(msg *memtypes.Message) {
 	req := msg.Req
-	b.withLine(req.Addr, func(release func()) {
-		b.store.StoreWord(req.Addr, req.Value)
-		b.qlRelease(req.Addr)
-		if b.cbdir != nil {
-			b.stats.CBDirAccesses++
-			mode := cbWriteMode(req.Kind)
-			wakes := b.cbdir.Write(req.Addr, mode)
-			b.observeOcc(req.Addr)
-			b.wakeAfter(b.cbdirLat, wakes, req.Addr, req.Value)
-		}
-		lat := b.accessLat(req.Addr, true, reqSyncKind(req))
-		b.cycSpan(msg.Core, lat, cycles.CatLLCStall)
-		b.k.Schedule(lat, func() {
-			b.ack(msg)
-			release()
-		})
-	})
+	b.store.StoreWord(req.Addr, req.Value)
+	b.qlRelease(req.Addr)
+	if b.cbdir != nil {
+		b.stats.CBDirAccesses++
+		mode := cbWriteMode(req.Kind)
+		wakes := b.cbdir.Write(req.Addr, mode)
+		b.observeOcc(req.Addr)
+		b.wakeAfter(b.cbdirLat, wakes, req.Addr, req.Value)
+	}
+	b.access(msg, req.Addr, evWriteAck)
 }
 
 func cbWriteMode(k memtypes.OpKind) memtypes.CBWrite {
@@ -370,16 +428,7 @@ func (b *Bank) rmw(msg *memtypes.Message) {
 	if b.cbdir != nil && req.RMWLdCB {
 		b.stats.CBDirAccesses++
 		b.cycSpan(msg.Core, b.cbdirLat, cycles.CatCoherenceStall)
-		b.k.Schedule(b.cbdirLat, func() {
-			res, ev := b.cbdir.CallbackRead(int(msg.Core), req.Addr)
-			b.answerEviction(ev)
-			b.observeOcc(req.Addr)
-			if res == core.ReadBlocked {
-				b.park(msg)
-				return
-			}
-			b.executeRMW(msg)
-		})
+		b.k.ScheduleActor(b.cbdirLat, b, msg, evConsultCB)
 		return
 	}
 	if b.cbdir != nil {
@@ -388,45 +437,38 @@ func (b *Bank) rmw(msg *memtypes.Message) {
 		b.cbdir.ReadThrough(int(msg.Core), req.Addr)
 		b.observeOcc(req.Addr)
 	}
-	b.executeRMW(msg)
+	b.withLine(msg)
 }
 
-// executeRMW performs the atomic under the line lock.
+// executeRMW performs the atomic once its LLC access under the line lock
+// is done; the caller releases the line.
 func (b *Bank) executeRMW(msg *memtypes.Message) {
 	req := msg.Req
-	b.withLine(req.Addr, func(release func()) {
-		lat := b.accessLat(req.Addr, true, reqSyncKind(req))
-		b.cycSpan(msg.Core, lat, cycles.CatLLCStall)
-		b.k.Schedule(lat, func() {
-			old := b.store.Load(req.Addr)
-			if b.qlMaybeQueue(msg, old) {
-				// VIPS-M blocking bit: the failing test-style RMW is
-				// held at the controller; the line lock is released
-				// so the eventual releasing write can proceed.
-				release()
-				return
-			}
-			newVal, writes := req.RMW.Apply(old, req.Expect, req.Arg)
-			if writes {
-				b.store.StoreWord(req.Addr, newVal)
-				if b.cbdir != nil {
-					b.stats.CBDirAccesses++
-					wakes := b.cbdir.Write(req.Addr, req.RMWSt)
-					b.observeOcc(req.Addr)
-					b.wakeAfter(0, wakes, req.Addr, newVal)
-				}
-				if writes && (req.RMW == memtypes.RMWSwap || req.RMW == memtypes.RMWFetchAdd) {
-					// Unconditional atomics (signals) release queued
-					// waiters too.
-					b.qlRelease(req.Addr)
-				}
-			}
-			// A failed RMW writes nothing and services no callbacks
-			// (the "Unblock" case of Section 2.6).
-			b.respond(msg, old, false)
-			release()
-		})
-	})
+	old := b.store.Load(req.Addr)
+	if b.qlMaybeQueue(msg, old) {
+		// VIPS-M blocking bit: the failing test-style RMW is held at
+		// the controller; the line lock is released so the eventual
+		// releasing write can proceed.
+		return
+	}
+	newVal, writes := req.RMW.Apply(old, req.Expect, req.Arg)
+	if writes {
+		b.store.StoreWord(req.Addr, newVal)
+		if b.cbdir != nil {
+			b.stats.CBDirAccesses++
+			wakes := b.cbdir.Write(req.Addr, req.RMWSt)
+			b.observeOcc(req.Addr)
+			b.wakeAfter(0, wakes, req.Addr, newVal)
+		}
+		if req.RMW == memtypes.RMWSwap || req.RMW == memtypes.RMWFetchAdd {
+			// Unconditional atomics (signals) release queued
+			// waiters too.
+			b.qlRelease(req.Addr)
+		}
+	}
+	// A failed RMW writes nothing and services no callbacks (the
+	// "Unblock" case of Section 2.6).
+	b.respond(msg, old, false)
 }
 
 // park records a blocked callback read or RMW until a write (or an
@@ -475,7 +517,7 @@ func (b *Bank) wake(cores []int, addr memtypes.Addr, value uint64, stale bool) {
 			b.cyc(int(id), cycles.EvClose, b.k.Now(), 0, 0)
 		}
 		if parked.Req.Kind == memtypes.OpRMW {
-			b.executeRMW(parked)
+			b.withLine(parked) // re-enter execution under the line lock
 			continue
 		}
 		b.respond(parked, value, stale)
@@ -501,7 +543,7 @@ func (b *Bank) respond(msg *memtypes.Message, value uint64, stale bool) {
 	*resp = memtypes.Message{
 		Src: b.id, Dst: msg.Src, Kind: MsgRacyResp,
 		Class: memtypes.ClassWordData, Addr: msg.Req.Addr,
-		Core: msg.Core, Value: value, Stale: stale, Req: msg.Req,
+		Core: msg.Core, Value: value, Stale: stale, Req: msg.Req, Seq: msg.Seq,
 	}
 	b.mesh.Free(msg)
 	b.mesh.Send(resp)
@@ -517,7 +559,7 @@ func (b *Bank) ack(msg *memtypes.Message) {
 	*resp = memtypes.Message{
 		Src: b.id, Dst: msg.Src, Kind: MsgRacyResp,
 		Class: memtypes.ClassControl, Addr: msg.Req.Addr,
-		Core: msg.Core, Value: msg.Req.Value, Req: msg.Req,
+		Core: msg.Core, Value: msg.Req.Value, Req: msg.Req, Seq: msg.Seq,
 	}
 	b.mesh.Free(msg)
 	b.mesh.Send(resp)

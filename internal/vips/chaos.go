@@ -53,11 +53,21 @@ func (b *Bank) spuriousWake(addr memtypes.Addr) {
 	b.wake([]int{victim}, addr, b.store.Load(addr), true)
 }
 
+// wakeEvent is a wake in flight between a write and its delivery (see
+// wakeAfter): the evWake event's data.
+type wakeEvent struct {
+	cores []int
+	addr  memtypes.Addr
+	value uint64
+}
+
 // wakeAfter services wakes delay cycles from now; chaos may stretch the
 // window between the directory update (callback bits already cleared)
 // and the delivery of the wakes — the delayed F/E-bit visibility fault.
 // A zero total delay wakes synchronously, exactly like calling wake
 // directly.
+//
+//cbsim:hotpath
 func (b *Bank) wakeAfter(delay uint64, cores []int, addr memtypes.Addr, value uint64) {
 	if b.chaos != nil {
 		delay += b.chaos.WakeDelay()
@@ -66,9 +76,15 @@ func (b *Bank) wakeAfter(delay uint64, cores []int, addr memtypes.Addr, value ui
 		b.wake(cores, addr, value, false)
 		return
 	}
-	b.k.Schedule(delay, func() {
-		b.wake(cores, addr, value, false)
-	})
+	var w *wakeEvent
+	if n := len(b.freeWakes); n > 0 {
+		w = b.freeWakes[n-1]
+		b.freeWakes = b.freeWakes[:n-1]
+	} else {
+		w = &wakeEvent{} //cbvet:alloc-ok free-list growth, bounded by the peak number of wakes in flight
+	}
+	*w = wakeEvent{cores: cores, addr: addr, value: value}
+	b.k.ScheduleActor(delay, b, w, evWake)
 }
 
 // accessLat returns the LLC access latency for addr, plus chaos jitter.

@@ -9,10 +9,11 @@ import (
 )
 
 // This file folds the VIPS tile's mutable state into a replay digest.
-// As in the MESI digest, closure-backed transient state is represented
-// by the data that determines it: a pending L1 operation hashes its
-// request and phase flags, a parked callback read hashes the full
-// blocked message, deferred work hashes its queue depth.
+// As in the MESI digest, transient state is represented by the data that
+// determines it: a pending L1 operation hashes its request and phase
+// flags, a parked callback read hashes the full blocked message, deferred
+// work hashes its queue depth. Scheduled events are not hashed; they are
+// pure functions of this state in a deterministic run.
 
 // Digest folds the L1's cache array (dirty masks, private bits), any
 // pending operation, the outstanding write-through count, and the
@@ -24,12 +25,9 @@ func (l *L1) Digest(h *digest.Hash) {
 		}
 		h.Bool(s.private)
 	})
-	h.Bool(l.pending != nil)
-	if l.pending != nil {
-		h.Bool(l.pending.req != nil)
-		if l.pending.req != nil {
-			l.pending.req.Digest(h)
-		}
+	h.Bool(l.pending.req != nil)
+	if l.pending.req != nil {
+		l.pending.req.Digest(h)
 		h.Bool(l.pending.fence)
 		h.Bool(l.pending.invlAfter)
 	}

@@ -36,9 +36,11 @@ func (l *l1Line) anyDirty() bool {
 	return false
 }
 
+// pendingOp is the outstanding core operation; req is nil when there is
+// none.
 type pendingOp struct {
 	req  *memtypes.Request
-	done func(memtypes.Response)
+	done memtypes.Completer
 	// fence marks an in-progress fence waiting for write-through acks.
 	fence bool
 	// invlAfter marks a self-invalidation to perform once all
@@ -56,7 +58,15 @@ type L1 struct {
 	bankOf func(memtypes.Addr) memtypes.NodeID
 
 	arr     *cache.Array[l1Line]
-	pending *pendingOp
+	pending pendingOp
+
+	// The one-slot response event: the completion and its target wait
+	// here from respond until Act fires. A core has one operation in
+	// flight, so one slot is enough.
+	//cbvet:ephemeral response in transit to the core, consumed by the response event already scheduled; a quiescent machine has none
+	resp memtypes.Response
+	//cbvet:ephemeral response in transit to the core, consumed by the response event already scheduled; a quiescent machine has none
+	respTo memtypes.Completer
 
 	// wtOutstanding counts unacknowledged write-throughs (evictions and
 	// fences alike). A fence completes only when this drains to zero,
@@ -88,11 +98,13 @@ func (l *L1) Stats() L1Stats { return l.stats }
 func (l *L1) ValidLines() int { return l.arr.CountValid() }
 
 // Access implements memtypes.Port.
-func (l *L1) Access(req *memtypes.Request, done func(memtypes.Response)) {
-	if l.pending != nil {
+//
+//cbsim:hotpath
+func (l *L1) Access(req *memtypes.Request, done memtypes.Completer) {
+	if l.pending.req != nil {
 		panic(fmt.Sprintf("vips: core %d issued a second request while one is outstanding", l.id))
 	}
-	l.pending = &pendingOp{req: req, done: done}
+	l.pending = pendingOp{req: req, done: done}
 	switch req.Kind {
 	case memtypes.OpRead, memtypes.OpWrite:
 		l.accessDRF()
@@ -108,14 +120,31 @@ func (l *L1) Access(req *memtypes.Request, done func(memtypes.Response)) {
 	}
 }
 
-// respond completes the pending operation after delay cycles.
+// respond completes the pending operation after delay cycles, through
+// the one-slot response event.
+//
+//cbsim:hotpath
 func (l *L1) respond(delay uint64, resp memtypes.Response) {
-	p := l.pending
-	l.pending = nil
-	l.k.Schedule(delay, func() { p.done(resp) })
+	if l.respTo != nil {
+		panic(fmt.Sprintf("vips: core %d response slot already in use", l.id))
+	}
+	l.resp, l.respTo = resp, l.pending.done
+	l.pending = pendingOp{}
+	l.k.ScheduleActor(delay, l, nil, 0)
+}
+
+// Act delivers the response slot to its core (implements sim.Actor).
+//
+//cbsim:hotpath
+func (l *L1) Act(any, uint64) {
+	done := l.respTo
+	l.respTo = nil
+	done.Complete(l.resp)
 }
 
 // accessDRF handles cached loads and stores.
+//
+//cbsim:hotpath
 func (l *L1) accessDRF() {
 	req := l.pending.req
 	l.stats.Accesses++
@@ -129,7 +158,7 @@ func (l *L1) accessDRF() {
 	*msg = memtypes.Message{
 		Src: l.id, Dst: l.bankOf(req.Addr), Kind: MsgGetLine,
 		Class: memtypes.ClassControl, Addr: req.Addr.Line(),
-		Core: l.id, Req: req,
+		Core: l.id, Req: req, Seq: req.Seq,
 	}
 	l.mesh.Send(msg)
 	if l.cyc != nil {
@@ -138,6 +167,8 @@ func (l *L1) accessDRF() {
 }
 
 // finishDRF applies the pending DRF op to a resident line and responds.
+//
+//cbsim:hotpath
 func (l *L1) finishDRF(line *cache.Line[l1Line], delay uint64) {
 	req := l.pending.req
 	w := req.Addr.WordIndex()
@@ -154,10 +185,12 @@ func (l *L1) finishDRF(line *cache.Line[l1Line], delay uint64) {
 	l.respond(delay, resp)
 }
 
-// handleDataLine installs a fill and completes the pending DRF miss.
+// handleDataLine installs a fill and completes the pending DRF miss. The
+// fill must answer the pending operation itself: same line and same
+// operation sequence number.
 func (l *L1) handleDataLine(msg *memtypes.Message) {
-	if l.pending == nil || l.pending.req.Addr.Line() != msg.Addr {
-		panic(fmt.Sprintf("vips: core %d unexpected fill for %s", l.id, msg.Addr))
+	if p := l.pending.req; p == nil || p.Addr.Line() != msg.Addr || p.Seq != msg.Seq {
+		panic(fmt.Sprintf("vips: core %d unexpected fill for %s (op %d)", l.id, msg.Addr, msg.Seq))
 	}
 	if l.cyc != nil {
 		l.cyc(int(l.id), cycles.EvClose, l.k.Now(), 0, 0)
@@ -212,7 +245,6 @@ func (l *L1) writeThrough(line *cache.Line[l1Line]) {
 
 // fence executes self_down (invl=false) or self_invl (invl=true).
 func (l *L1) fence(invl bool) {
-	p := l.pending
 	l.stats.SelfDowns++
 	// Self-downgrade: write through every dirty non-private line.
 	l.arr.ForEach(func(line *cache.Line[l1Line]) {
@@ -223,8 +255,8 @@ func (l *L1) fence(invl bool) {
 			l.writeThrough(line)
 		}
 	})
-	p.fence = true
-	p.invlAfter = invl
+	l.pending.fence = true
+	l.pending.invlAfter = invl
 	if l.wtOutstanding == 0 {
 		l.completeFence()
 	}
@@ -253,13 +285,15 @@ func (l *L1) handleWTAck(msg *memtypes.Message) {
 	}
 	l.mesh.Free(msg)
 	l.wtOutstanding--
-	if l.wtOutstanding == 0 && l.pending != nil && l.pending.fence {
+	if l.wtOutstanding == 0 && l.pending.fence {
 		l.completeFence()
 	}
 }
 
 // issueRacy forwards a racy operation to the owning LLC bank, bypassing
 // the L1 array.
+//
+//cbsim:hotpath
 func (l *L1) issueRacy() {
 	req := l.pending.req
 	l.stats.RacyOps++
@@ -271,7 +305,7 @@ func (l *L1) issueRacy() {
 	msg := l.mesh.NewMessage()
 	*msg = memtypes.Message{
 		Src: l.id, Dst: l.bankOf(req.Addr), Kind: MsgRacy,
-		Class: class, Addr: req.Addr, Core: l.id, Req: req,
+		Class: class, Addr: req.Addr, Core: l.id, Req: req, Seq: req.Seq,
 	}
 	l.mesh.Send(msg)
 	if l.cyc != nil {
@@ -279,19 +313,24 @@ func (l *L1) issueRacy() {
 	}
 }
 
-// handleRacyResp completes the outstanding racy operation.
+// handleRacyResp completes the outstanding racy operation. The response
+// must answer the pending operation itself: a core reuses its Request,
+// so the pointer alone cannot tell an earlier operation's late reply
+// from the current one, and the sequence number must match too.
+//
+//cbsim:hotpath
 func (l *L1) handleRacyResp(msg *memtypes.Message) {
-	if l.pending == nil {
+	req := l.pending.req
+	if req == nil {
 		panic(fmt.Sprintf("vips: core %d racy response with no pending op", l.id))
 	}
 	if l.cyc != nil {
 		l.cyc(int(l.id), cycles.EvClose, l.k.Now(), 0, 0)
 	}
-	if msg.Req != nil && msg.Req != l.pending.req {
-		panic(fmt.Sprintf("vips: core %d racy response for %s does not match pending %s",
-			l.id, msg.Req.Kind, l.pending.req.Kind))
+	if msg.Req != req || msg.Seq != req.Seq {
+		panic(fmt.Sprintf("vips: core %d racy response for op %d does not match pending %s op %d",
+			l.id, msg.Seq, req.Kind, req.Seq))
 	}
-	req := l.pending.req
 	// Keep a resident copy of the word fresh: racy results are at least
 	// as new as any cached value, and the line stays clean (the LLC
 	// already has the data).

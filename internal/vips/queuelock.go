@@ -99,7 +99,7 @@ func (b *Bank) qlRelease(addr memtypes.Addr) {
 	// (including the possibility of being re-queued if another core
 	// snatched the lock in between — cannot happen for FIFO hand-off,
 	// since the replay runs under the line lock before newcomers).
-	b.executeRMW(head.msg)
+	b.withLine(head.msg)
 }
 
 // QueueDepth reports the number of queued RMWs on addr's word (tests).

@@ -13,10 +13,13 @@ import (
 // quiescence with no transient protocol state: no pending L1 operation or
 // unacknowledged write-through, no locked LLC lines or deferred
 // operations, nothing parked in the callback directory, and no engaged
-// VIPS-M blocking bits — all of which hold closures or in-flight
-// messages. For the states snapshots are taken from — a freshly built
-// machine, or a machine whose programs ran to completion and quiesced —
-// all of these are empty by construction.
+// VIPS-M blocking bits. These are plain data — the pending entry holds
+// the core's request and completion target, queues hold request
+// messages — but each is paired with scheduled kernel events or
+// in-flight messages, which a snapshot cannot capture. For the
+// states snapshots are taken from — a freshly built machine, or a
+// machine whose programs ran to completion and quiesced — all of these
+// are empty by construction.
 
 // L1State is a deep copy of a quiescent VIPS L1's mutable state.
 type L1State struct {
@@ -27,7 +30,7 @@ type L1State struct {
 // State captures the L1's mutable state, failing if an operation or
 // write-through is outstanding.
 func (l *L1) State() (L1State, error) {
-	if l.pending != nil {
+	if l.pending.req != nil {
 		return L1State{}, fmt.Errorf("vips: L1 %d has a pending operation", l.id)
 	}
 	if l.wtOutstanding != 0 {
@@ -40,7 +43,8 @@ func (l *L1) State() (L1State, error) {
 // operation.
 func (l *L1) SetState(st L1State) {
 	l.arr.SetState(st.Arr)
-	l.pending = nil
+	l.pending = pendingOp{}
+	l.respTo = nil
 	l.wtOutstanding = 0
 	l.stats = st.Stats
 }

@@ -54,7 +54,7 @@ func (r *rig) access(t testing.TB, n int, req *memtypes.Request) memtypes.Respon
 	var resp memtypes.Response
 	got := false
 	req.Core = memtypes.NodeID(n)
-	r.tiles[n].L1.Access(req, func(rp memtypes.Response) { resp = rp; got = true })
+	r.tiles[n].L1.Access(req, memtypes.CompleterFunc(func(rp memtypes.Response) { resp = rp; got = true }))
 	if err := r.k.Run(0); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -68,7 +68,7 @@ func (r *rig) access(t testing.TB, n int, req *memtypes.Request) memtypes.Respon
 // completes.
 func (r *rig) start(n int, req *memtypes.Request, done func(memtypes.Response)) {
 	req.Core = memtypes.NodeID(n)
-	r.tiles[n].L1.Access(req, done)
+	r.tiles[n].L1.Access(req, memtypes.CompleterFunc(done))
 }
 
 func TestDRFReadWriteHitMiss(t *testing.T) {
