@@ -1,11 +1,15 @@
 GO ?= go
 
-.PHONY: all build test vet vet-cb race test-debug bench bench-snapshot bench-gate ci figures fuzz chaos-litmus replay-e2e cycles
+.PHONY: all build test fmt-check vet vet-cb race test-debug bench bench-snapshot bench-gate ci figures fuzz chaos-litmus replay-e2e cycles
 
 all: build
 
 build:
 	$(GO) build ./...
+
+# fmt-check fails when any Go file is not gofmt-clean.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -75,11 +79,11 @@ chaos-litmus:
 replay-e2e:
 	$(GO) test -count=1 -run TestReplayE2E ./cmd/cbsimd/
 
-# ci is the full gate: vet (stock + project analyzers), build,
+# ci is the full gate: gofmt, vet (stock + project analyzers), build,
 # race-enabled tests, the cbsimdebug tagged tests, a single-shot
 # benchmark pass, the perf gate (which also writes the archived
 # BENCH_pr.json snapshot), and the replay end-to-end gate.
-ci: vet vet-cb build race test-debug bench bench-gate replay-e2e
+ci: fmt-check vet vet-cb build race test-debug bench bench-gate replay-e2e
 
 # figures regenerates every table of the paper at full 64-core scale.
 figures:

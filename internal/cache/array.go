@@ -89,6 +89,7 @@ func (a *Array[P]) setIndex(addr memtypes.Addr) int {
 
 // Lookup finds the line holding addr, touching LRU state on a hit. It
 // returns nil on a miss.
+//
 //cbsim:hotpath
 func (a *Array[P]) Lookup(addr memtypes.Addr) *Line[P] {
 	a.Accesses++
@@ -107,6 +108,7 @@ func (a *Array[P]) Lookup(addr memtypes.Addr) *Line[P] {
 
 // Peek finds the line holding addr without touching LRU or access
 // counters. It returns nil on a miss.
+//
 //cbsim:hotpath
 func (a *Array[P]) Peek(addr memtypes.Addr) *Line[P] {
 	line := addr.Line()
@@ -139,6 +141,7 @@ func (a *Array[P]) victimWay(addr memtypes.Addr) (int, int) {
 // Victim returns the line that Allocate would replace for addr: an invalid
 // way if one exists, otherwise the LRU way. The returned line may be valid
 // (the caller must write it back or invalidate it before reuse).
+//
 //cbsim:hotpath
 func (a *Array[P]) Victim(addr memtypes.Addr) *Line[P] {
 	s, w := a.victimWay(addr)

@@ -141,9 +141,9 @@ func (b *profileBuilder) encode() []byte {
 		loc.bytes(4, line.b)
 		p.bytes(4, loc.b)
 		var fn protoBuf
-		fn.uint(1, id)          // function id
-		fn.uint(2, b.funcs[i])  // name
-		fn.uint(3, b.funcs[i])  // system_name
+		fn.uint(1, id)         // function id
+		fn.uint(2, b.funcs[i]) // name
+		fn.uint(3, b.funcs[i]) // system_name
 		p.bytes(5, fn.b)
 	}
 	for _, s := range b.strings {

@@ -29,6 +29,11 @@
 // component considers behaviorally meaningful.
 package digest
 
+import (
+	"cmp"
+	"slices"
+)
+
 // FNV-1a 64-bit parameters (FNV-0 offset basis and prime).
 const (
 	offset64 = 14695981039346656037
@@ -85,3 +90,14 @@ func (h *Hash) Str(s string) {
 
 // Sum returns the digest so far. The hash remains usable.
 func (h *Hash) Sum() uint64 { return h.sum }
+
+// SortedKeys returns m's keys in ascending order: the canonical order
+// digests walk map-keyed state in.
+func SortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m { //cbvet:unordered — keys are sorted before use
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}

@@ -104,19 +104,8 @@ func (m *Machine) ComponentDigests(scope DigestScope) []ComponentDigest {
 	for i, c := range m.Cores {
 		add("core"+strconv.Itoa(i), c.Digest)
 	}
-	for i, t := range m.vipsTiles {
-		tile := t
-		add("vips"+strconv.Itoa(i), func(h *digest.Hash) {
-			tile.L1.Digest(h)
-			tile.Bank.Digest(h)
-		})
-	}
-	for i, t := range m.mesiTiles {
-		tile := t
-		add("mesi"+strconv.Itoa(i), func(h *digest.Hash) {
-			tile.L1.Digest(h)
-			tile.Dir.Digest(h)
-		})
+	for i, t := range m.tiles {
+		add(m.tileKind+strconv.Itoa(i), t.Digest)
 	}
 	return out
 }

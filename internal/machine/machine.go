@@ -15,6 +15,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/cycles"
+	"repro/internal/digest"
 	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/memtypes"
@@ -115,6 +116,39 @@ func Default(p Protocol) Config {
 	}
 }
 
+// Tile is one mesh node's memory side: the L1 its core issues into plus
+// the home controller (directory or LLC bank) for the lines the node
+// owns. It is the protocol boundary: New is the only place the machine
+// names a protocol, and a new coherence backend is one package whose
+// tile implements this interface.
+type Tile interface {
+	// Deliver receives the node's network messages (noc.Handler).
+	Deliver(*memtypes.Message)
+	// Port is the L1, the port the node's core issues into.
+	Port() memtypes.Port
+	// State captures the tile's mutable state, failing on transient
+	// protocol state; SetState restores it. The value is opaque to the
+	// machine.
+	State() (any, error)
+	SetState(any)
+	// Digest folds the tile's mutable state, transient state included.
+	Digest(*digest.Hash)
+	// Stats returns the tile's counters.
+	Stats() mem.TileStats
+	// Parked counts operations blocked at the tile's controller, and
+	// ParkedOp reports the line a core is parked on there, if any.
+	Parked() int
+	ParkedOp(core memtypes.NodeID) (memtypes.Addr, bool)
+	// CheckInvariants verifies the tile's cross-layer invariants; final
+	// adds the ones that hold only after the machine quiesced.
+	CheckInvariants(final bool) error
+	// SetObserver installs the tracing hook and SetCyclesObserver the
+	// cycle-accounting hook (nil disables either). Both are
+	// observational only.
+	SetObserver(mem.Observer)
+	SetCyclesObserver(cycles.Hook)
+}
+
 // Machine is a runnable simulated CMP.
 type Machine struct {
 	K     *sim.Kernel
@@ -122,11 +156,11 @@ type Machine struct {
 	Store *mem.Store
 	Cores []*cpu.Core
 
-	cfg       Config
-	vipsTiles []*vips.Tile
-	mesiTiles []*mesi.Tile
-
-	classify func(memtypes.Addr) bool
+	cfg   Config
+	tiles []Tile
+	// tileKind prefixes the tiles' component digest names ("mesi",
+	// "vips").
+	tileKind string
 
 	// sinks receives the machine's trace-event stream; the component
 	// observers are installed once and fan out to every attached sink.
@@ -206,7 +240,6 @@ func New(cfg Config, classify func(memtypes.Addr) bool) *Machine {
 		m.checkInv = true
 		m.Mesh.SetChaos(m.chaos)
 	}
-	m.classify = classify
 	if cfg.IdealNoC {
 		m.Mesh.SetIdeal(true)
 	}
@@ -217,22 +250,11 @@ func New(cfg Config, classify func(memtypes.Addr) bool) *Machine {
 	onDone := func(*cpu.Core) { m.finished++ }
 	for n := 0; n < cfg.Cores; n++ {
 		id := memtypes.NodeID(n)
-		var port memtypes.Port
+		var t Tile
 		switch cfg.Protocol {
 		case ProtocolMESI, ProtocolQuiesce:
-			tile := &mesi.Tile{
-				L1:  mesi.NewL1(k, id, m.Mesh, m.Store, bankOf),
-				Dir: mesi.NewDir(k, id, m.Mesh, m.Store),
-			}
-			if cfg.Protocol == ProtocolQuiesce {
-				tile.L1.EnableMonitor()
-			}
-			if m.chaos != nil {
-				tile.Dir.SetChaos(m.chaos)
-			}
-			m.Mesh.Attach(id, tile)
-			m.mesiTiles = append(m.mesiTiles, tile)
-			port = tile.L1
+			m.tileKind = "mesi"
+			t = mesi.NewTile(k, id, m.Mesh, m.Store, bankOf, cfg.Protocol == ProtocolQuiesce, m.chaos)
 		case ProtocolBackoff, ProtocolCallback, ProtocolQueueLock:
 			vcfg := vips.Config{
 				Mode:             vips.ModeBackoff,
@@ -248,20 +270,14 @@ func New(cfg Config, classify func(memtypes.Addr) bool) *Machine {
 			if cfg.Protocol == ProtocolQueueLock {
 				vcfg.Mode = vips.ModeQueueLock
 			}
-			tile := &vips.Tile{
-				L1:   vips.NewL1(k, id, m.Mesh, bankOf),
-				Bank: vips.NewBank(k, id, m.Mesh, m.Store, cfg.Cores, vcfg),
-			}
-			if m.chaos != nil {
-				tile.Bank.SetChaos(m.chaos)
-			}
-			m.Mesh.Attach(id, tile)
-			m.vipsTiles = append(m.vipsTiles, tile)
-			port = tile.L1
+			m.tileKind = "vips"
+			t = vips.NewTile(k, id, m.Mesh, m.Store, cfg.Cores, bankOf, vcfg, m.chaos)
 		default:
 			panic(fmt.Sprintf("machine: unknown protocol %d", cfg.Protocol))
 		}
-		m.Cores = append(m.Cores, cpu.New(k, id, port, coreCfg, classify, onDone))
+		m.Mesh.Attach(id, t)
+		m.tiles = append(m.tiles, t)
+		m.Cores = append(m.Cores, cpu.New(k, id, t.Port(), coreCfg, classify, onDone))
 	}
 	return m
 }
@@ -292,16 +308,9 @@ func (m *Machine) AttachTrace(sink trace.Sink) {
 			Note: fmt.Sprintf("kind=%#x %s %d->%d", uint16(msg.Kind), msg.Class, msg.Src, msg.Dst),
 		})
 	})
-	for _, t := range m.vipsTiles {
-		t.Bank.SetObserver(func(cycle uint64, core memtypes.NodeID, addr memtypes.Addr, what string, arg uint64) {
-			m.sinks.Emit(trace.Event{Cycle: cycle, Node: core, What: what, Addr: addr, Arg: arg})
-		})
-	}
-	for _, t := range m.mesiTiles {
-		l1 := t.L1
-		id := l1.ID()
-		l1.SetMonitorObserver(func(cycle uint64, addr memtypes.Addr, what string) {
-			m.sinks.Emit(trace.Event{Cycle: cycle, Node: id, What: what, Addr: addr})
+	for _, t := range m.tiles {
+		t.SetObserver(func(cycle uint64, node memtypes.NodeID, addr memtypes.Addr, what string, arg uint64) {
+			m.sinks.Emit(trace.Event{Cycle: cycle, Node: node, What: what, Addr: addr, Arg: arg})
 		})
 	}
 	for _, c := range m.Cores {
@@ -327,19 +336,26 @@ func (m *Machine) AttachCycles(a *cycles.Accumulator) {
 	for _, c := range m.Cores {
 		c.SetCyclesObserver(hook)
 	}
-	for _, t := range m.vipsTiles {
-		t.L1.SetCyclesObserver(hook)
-		t.Bank.SetCyclesObserver(hook)
-	}
-	for _, t := range m.mesiTiles {
-		t.L1.SetCyclesObserver(hook)
-		t.Dir.SetCyclesObserver(hook)
+	for _, t := range m.tiles {
+		t.SetCyclesObserver(hook)
 	}
 }
 
-// CycleAccumulator returns the attached accumulator (nil when cycle
-// accounting is off).
-func (m *Machine) CycleAccumulator() *cycles.Accumulator { return m.cyc }
+// DetachTrace drops every trace sink and uninstalls the component
+// observers and the cycle accumulator, so the machine pays no observer
+// overhead and never emits into a stale sink: replay detaches at each
+// window's end, and Restore detaches for a pooled machine's next run.
+func (m *Machine) DetachTrace() {
+	m.sinks = nil
+	m.Mesh.SetObserver(nil)
+	for _, t := range m.tiles {
+		t.SetObserver(nil)
+	}
+	for _, c := range m.Cores {
+		c.SetObserver(nil)
+	}
+	m.AttachCycles(nil)
+}
 
 // cycleHorizon is the horizon cycle stacks are charged to: the cycle the
 // last core retired its program, or the current kernel time if the run
@@ -514,8 +530,8 @@ func (m *Machine) Diagnose() string {
 		}
 		fmt.Fprintf(&b, "  core %2d: pc=%d  %s\n", i, c.PC(), in)
 	}
-	for i, t := range m.vipsTiles {
-		if n := t.Bank.Parked(); n > 0 {
+	for i, t := range m.tiles {
+		if n := t.Parked(); n > 0 {
 			fmt.Fprintf(&b, "  bank %2d: %d operations parked in the callback directory\n", i, n)
 		}
 	}

@@ -12,6 +12,7 @@ import (
 	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/memtypes"
+	"repro/internal/vips"
 )
 
 // TestTable2Defaults pins the simulated system parameters to Table 2 of
@@ -208,8 +209,13 @@ func TestProtocolStringsAndConfig(t *testing.T) {
 	if m.Config().Protocol != ProtocolCallback {
 		t.Fatal("Config accessor broken")
 	}
-	if len(m.CBDirectories()) != 64 {
-		t.Fatalf("callback dirs = %d, want one per bank", len(m.CBDirectories()))
+	if len(m.tiles) != 64 {
+		t.Fatalf("tiles = %d, want one per core", len(m.tiles))
+	}
+	for i, tile := range m.tiles {
+		if tile.(*vips.Tile).Bank.CBDir() == nil {
+			t.Fatalf("bank %d has no callback directory, want one per bank", i)
+		}
 	}
 }
 

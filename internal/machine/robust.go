@@ -147,8 +147,8 @@ func (m *Machine) progress() uint64 {
 // noProgressError assembles the watchdog's per-core dump.
 func (m *Machine) noProgressError(window uint64) *NoProgressError {
 	e := &NoProgressError{Cycle: m.K.Now(), Window: window}
-	for _, t := range m.vipsTiles {
-		e.ParkedOps += t.Bank.Parked()
+	for _, t := range m.tiles {
+		e.ParkedOps += t.Parked()
 	}
 	for i, c := range m.Cores {
 		d := CoreDump{Core: i, Done: c.Done()}
@@ -157,8 +157,8 @@ func (m *Machine) noProgressError(window uint64) *NoProgressError {
 			if in := c.CurrentInstr(); in != nil {
 				d.Instr = in.String()
 			}
-			for _, t := range m.vipsTiles {
-				if addr, ok := t.Bank.ParkedOp(memtypes.NodeID(i)); ok {
+			for _, t := range m.tiles {
+				if addr, ok := t.ParkedOp(memtypes.NodeID(i)); ok {
 					d.Parked, d.Addr = true, addr
 					break
 				}
@@ -177,8 +177,8 @@ func (m *Machine) noProgressError(window uint64) *NoProgressError {
 // operations answered, all callback bits cleared, every in-flight
 // message freed, and the event queue empty.
 func (m *Machine) CheckInvariants(final bool) error {
-	for _, t := range m.vipsTiles {
-		if err := t.Bank.CheckCallbackInvariants(final); err != nil {
+	for _, t := range m.tiles {
+		if err := t.CheckInvariants(final); err != nil {
 			return &InvariantError{Cycle: m.K.Now(), Detail: err.Error()}
 		}
 	}

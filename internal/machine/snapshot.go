@@ -7,10 +7,8 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/cpu"
 	"repro/internal/mem"
-	"repro/internal/mesi"
 	"repro/internal/noc"
 	"repro/internal/sim"
-	"repro/internal/vips"
 )
 
 // This file implements deterministic machine snapshots for warm-start
@@ -19,13 +17,14 @@ import (
 // configuration.
 //
 // Snapshots are legal only at quiescence — no pending kernel events and
-// no in-flight network messages. That is the moment every piece of
-// closure-holding transient state (pending L1 operations, busy directory
-// lines, parked callback reads, armed monitors, queued step
-// continuations) is provably empty: each component's State() checks its
-// own residue and fails otherwise. The two states sweeps snapshot — a
-// freshly built machine before Load, and a machine whose programs ran to
-// completion — are quiescent by construction.
+// no in-flight network messages. Transient protocol state (pending L1
+// operations, busy directory lines, parked callback reads, armed
+// monitors) is plain data, but each piece is paired with a scheduled
+// event or an in-flight message that a snapshot cannot capture; at
+// quiescence all of it is provably empty, and each component's State()
+// checks its own residue and fails otherwise. The two states sweeps
+// snapshot — a freshly built machine before Load, and a machine whose
+// programs ran to completion — are quiescent by construction.
 //
 // Restore is valid from ANY machine state: it overwrites every mutable
 // field, drops whatever transient state the target held, and detaches
@@ -96,8 +95,7 @@ type Snapshot struct {
 	mesh     noc.MeshState
 	store    mem.StoreState
 	cores    []cpu.CoreState
-	vips     []vips.TileState
-	mesi     []mesi.TileState
+	tiles    []any
 	chaos    *chaos.EngineState
 	loaded   int
 	finished int
@@ -128,19 +126,12 @@ func (m *Machine) Snapshot() (*Snapshot, error) {
 	for _, c := range m.Cores {
 		s.cores = append(s.cores, c.State())
 	}
-	for _, t := range m.vipsTiles {
+	for _, t := range m.tiles {
 		st, err := t.State()
 		if err != nil {
 			return nil, m.notQuiescent(err.Error())
 		}
-		s.vips = append(s.vips, st)
-	}
-	for _, t := range m.mesiTiles {
-		st, err := t.State()
-		if err != nil {
-			return nil, m.notQuiescent(err.Error())
-		}
-		s.mesi = append(s.mesi, st)
+		s.tiles = append(s.tiles, st)
 	}
 	if m.chaos != nil {
 		cs := m.chaos.State()
@@ -176,18 +167,15 @@ func (m *Machine) Restore(s *Snapshot) error {
 	if !configsCompatible(m.cfg, s.cfg) {
 		return fmt.Errorf("machine: restore: config mismatch (snapshot %+v, machine %+v)", s.cfg, m.cfg)
 	}
-	m.detachObservers()
+	m.DetachTrace()
 	m.K.SetState(s.kernel)
 	m.Mesh.SetState(s.mesh)
 	m.Store.SetState(s.store)
 	for i, c := range m.Cores {
 		c.SetState(s.cores[i])
 	}
-	for i, t := range m.vipsTiles {
-		t.SetState(s.vips[i])
-	}
-	for i, t := range m.mesiTiles {
-		t.SetState(s.mesi[i])
+	for i, t := range m.tiles {
+		t.SetState(s.tiles[i])
 	}
 	if m.chaos != nil && s.chaos != nil {
 		m.chaos.SetState(*s.chaos)
@@ -195,22 +183,4 @@ func (m *Machine) Restore(s *Snapshot) error {
 	m.loaded = s.loaded
 	m.finished = s.finished
 	return nil
-}
-
-// detachObservers drops the trace sinks and uninstalls every component
-// observer, so a pooled machine never pays observer overhead (or emits
-// into a stale sink) on behalf of a previous run.
-func (m *Machine) detachObservers() {
-	m.sinks = nil
-	m.Mesh.SetObserver(nil)
-	for _, t := range m.vipsTiles {
-		t.Bank.SetObserver(nil)
-	}
-	for _, t := range m.mesiTiles {
-		t.L1.SetMonitorObserver(nil)
-	}
-	for _, c := range m.Cores {
-		c.SetObserver(nil)
-	}
-	m.AttachCycles(nil)
 }

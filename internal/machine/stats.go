@@ -2,7 +2,6 @@ package machine
 
 import (
 	"repro/internal/chaos"
-	"repro/internal/core"
 	"repro/internal/cycles"
 	"repro/internal/isa"
 	"repro/internal/mem"
@@ -18,27 +17,9 @@ type Stats struct {
 	Instructions uint64
 	MemOps       uint64
 
-	// L1 activity (energy: the L1 is touched by every cached access).
-	L1Accesses uint64
-	L1Hits     uint64
-
-	// LLC activity.
-	LLCAccesses     uint64
-	LLCDataAccesses uint64
-	LLCSyncAccesses uint64 // accesses caused by synchronization ops
-	LLCSyncByKind   [isa.NumSyncKinds]uint64
-	LLCMisses       uint64 // memory accesses
-
-	// Callback directory activity (callback protocol only).
-	CBDirAccesses uint64
-	CBWakes       uint64
-	CBStaleWakes  uint64
-	CBEvictions   uint64
-	CBInstalls    uint64
-
-	// Monitor (quiesce) extension activity.
-	MonitorArms    uint64
-	MonitorWakeups uint64
+	// Per-tile counters (L1, LLC bank, callback directory, monitor),
+	// summed over tiles.
+	mem.TileStats
 
 	// Network traffic.
 	Net noc.Stats
@@ -111,38 +92,8 @@ func (m *Machine) Stats() Stats {
 		s.CoreIdleCycles += idle
 		s.CoreActiveCycles += s.Cycles - idle
 	}
-	addBank := func(d mem.BankStats) {
-		s.LLCAccesses += d.Accesses
-		s.LLCDataAccesses += d.DataAccesses
-		s.LLCSyncAccesses += d.SyncAccesses
-		s.LLCMisses += d.Misses
-		for k := 0; k < int(isa.NumSyncKinds) && k < len(d.SyncByKind); k++ {
-			s.LLCSyncByKind[k] += d.SyncByKind[k]
-		}
-	}
-	for _, t := range m.mesiTiles {
-		l1 := t.L1.Stats()
-		s.L1Accesses += l1.Accesses
-		s.L1Hits += l1.Hits
-		ms := t.L1.MonitorStats()
-		s.MonitorArms += ms.Arms
-		s.MonitorWakeups += ms.Wakeups
-		addBank(t.Dir.DataStats())
-	}
-	for _, t := range m.vipsTiles {
-		l1 := t.L1.Stats()
-		s.L1Accesses += l1.Accesses
-		s.L1Hits += l1.Hits
-		addBank(t.Bank.DataStats())
-		b := t.Bank.Stats()
-		s.CBDirAccesses += b.CBDirAccesses
-		s.CBWakes += b.Wakes
-		s.CBStaleWakes += b.StaleWakes
-		if dir := t.Bank.CBDir(); dir != nil {
-			ds := dir.Stats()
-			s.CBEvictions += ds.Evictions
-			s.CBInstalls += ds.Installs
-		}
+	for _, t := range m.tiles {
+		s.TileStats.Add(t.Stats())
 	}
 	s.Net = m.Mesh.Stats()
 	if m.chaos != nil {
@@ -152,16 +103,4 @@ func (m *Machine) Stats() Stats {
 		s.CycleStack = m.cyc.Snapshot(m.cycleHorizon())
 	}
 	return s
-}
-
-// CBDirectories returns the callback directories (callback protocol
-// only), for tests and diagnostics.
-func (m *Machine) CBDirectories() []*core.Directory {
-	var ds []*core.Directory
-	for _, t := range m.vipsTiles {
-		if d := t.Bank.CBDir(); d != nil {
-			ds = append(ds, d)
-		}
-	}
-	return ds
 }

@@ -45,18 +45,3 @@ func (m *Machine) RunToCycle(target uint64) (done bool, err error) {
 func (m *Machine) NextEventCycle() (uint64, bool) {
 	return m.K.NextEventTime()
 }
-
-// Finished reports whether every loaded core has executed its Done op.
-func (m *Machine) Finished() bool {
-	return m.loaded > 0 && m.finished == m.loaded
-}
-
-// DetachTrace removes every attached trace sink and uninstalls the
-// component observers, returning the machine to its untraced (and
-// observer-overhead-free) state. The replay re-executor pairs it with
-// AttachTrace: sinks are attached at a window's start boundary and
-// detached at its end, so a parked replay cursor never drags a stale
-// sink into a later window.
-func (m *Machine) DetachTrace() {
-	m.detachObservers()
-}

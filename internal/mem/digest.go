@@ -1,23 +1,13 @@
 package mem
 
-import (
-	"sort"
-
-	"repro/internal/digest"
-
-	"repro/internal/memtypes"
-)
+import "repro/internal/digest"
 
 // Digest folds the authoritative word store in ascending address order.
 // StoreWord deletes zero-valued words, so the map's contents are already
 // canonical: two stores holding the same values digest equal regardless
 // of write history.
 func (s *Store) Digest(h *digest.Hash) {
-	addrs := make([]memtypes.Addr, 0, len(s.words))
-	for a := range s.words { //cbvet:unordered — keys are sorted before hashing
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
+	addrs := digest.SortedKeys(s.words)
 	h.Int(len(addrs))
 	for _, a := range addrs {
 		h.U64(uint64(a))

@@ -268,6 +268,15 @@ type Request struct {
 	Seq uint64
 }
 
+// SyncPhase returns the synchronization-phase kind an LLC access made on
+// behalf of r is attributed to: 0 when r is nil or not synchronizing.
+func (r *Request) SyncPhase() uint8 {
+	if r == nil || !r.Sync {
+		return 0
+	}
+	return r.SyncKind
+}
+
 // NumSyncKinds mirrors isa.NumSyncKinds for counter array sizing without
 // an import cycle.
 const NumSyncKinds = 8

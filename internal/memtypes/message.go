@@ -94,6 +94,7 @@ type Message struct {
 }
 
 // Flits returns the message size in flits.
+//
 //cbsim:hotpath
 func (m *Message) Flits() int {
 	if m.Class == ClassWordData && m.Words > 1 {
@@ -115,6 +116,7 @@ type MsgPool struct {
 }
 
 // Get returns a zeroed message, reusing a freed one when available.
+//
 //cbsim:hotpath
 func (p *MsgPool) Get() *Message {
 	if n := len(p.free); n > 0 {
@@ -129,6 +131,7 @@ func (p *MsgPool) Get() *Message {
 
 // Put returns msg to the pool, zeroing it. The caller must not retain
 // msg afterwards: the next Get may hand it out again.
+//
 //cbsim:hotpath
 func (p *MsgPool) Put(msg *Message) {
 	*msg = Message{}

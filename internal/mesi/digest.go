@@ -1,12 +1,6 @@
 package mesi
 
-import (
-	"sort"
-
-	"repro/internal/digest"
-
-	"repro/internal/memtypes"
-)
+import "repro/internal/digest"
 
 // This file folds the MESI tile's mutable state into a replay digest.
 // Transient mid-transaction state is represented as data: a pending L1
@@ -15,6 +9,12 @@ import (
 // they are pure functions of the hashed request/line state in a
 // deterministic run, so digest equality still implies behavioral
 // equality at the compared boundary.
+
+// Digest folds the L1's state, then the directory's.
+func (t *Tile) Digest(h *digest.Hash) {
+	t.L1.Digest(h)
+	t.Dir.Digest(h)
+}
 
 // Digest folds the L1's cache array (MESI line states), any pending
 // miss, the monitor extension's armed state, and the counters.
@@ -60,11 +60,7 @@ func (s *MonitorStats) Digest(h *digest.Hash) {
 // bank, and the counters — all map-keyed state in ascending address
 // order.
 func (d *Dir) Digest(h *digest.Hash) {
-	lineAddrs := sortedAddrs(len(d.lines), func(f func(memtypes.Addr)) {
-		for a := range d.lines { //cbvet:unordered — keys are sorted before hashing
-			f(a)
-		}
-	})
+	lineAddrs := digest.SortedKeys(d.lines)
 	h.Int(len(lineAddrs))
 	for _, a := range lineAddrs {
 		ln := d.lines[a]
@@ -73,22 +69,14 @@ func (d *Dir) Digest(h *digest.Hash) {
 		h.U64(ln.sharers)
 	}
 
-	busyAddrs := sortedAddrs(len(d.busy), func(f func(memtypes.Addr)) {
-		for a := range d.busy { //cbvet:unordered — keys are sorted before hashing
-			f(a)
-		}
-	})
+	busyAddrs := digest.SortedKeys(d.busy)
 	h.Int(len(busyAddrs))
 	for _, a := range busyAddrs {
 		h.U64(uint64(a))
 		h.Int(d.busy[a].acksPending)
 	}
 
-	defAddrs := sortedAddrs(len(d.deferq), func(f func(memtypes.Addr)) {
-		for a := range d.deferq { //cbvet:unordered — keys are sorted before hashing
-			f(a)
-		}
-	})
+	defAddrs := digest.SortedKeys(d.deferq)
 	h.Int(len(defAddrs))
 	for _, a := range defAddrs {
 		h.U64(uint64(a))
@@ -109,13 +97,4 @@ func (s *DirStats) Digest(h *digest.Hash) {
 	h.U64(s.Writebacks)
 	h.U64(s.Deferred)
 	h.U64(s.EGrants)
-}
-
-// sortedAddrs collects addresses from a map-range callback and returns
-// them ascending, giving every digest map walk one canonical order.
-func sortedAddrs(n int, each func(func(memtypes.Addr))) []memtypes.Addr {
-	addrs := make([]memtypes.Addr, 0, n)
-	each(func(a memtypes.Addr) { addrs = append(addrs, a) })
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	return addrs
 }

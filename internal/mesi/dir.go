@@ -23,15 +23,6 @@ type DirStats struct {
 	EGrants    uint64 // DataE responses
 }
 
-// reqSyncKind extracts the synchronization-phase kind of a request (0
-// when absent or not synchronizing).
-func reqSyncKind(req *memtypes.Request) uint8 {
-	if req == nil || !req.Sync {
-		return 0
-	}
-	return req.SyncKind
-}
-
 // dirLine is the directory state for one line: an owner pointer (E or M
 // copy) or a sharer bit-vector. Lines absent from the map are uncached.
 type dirLine struct {
@@ -83,10 +74,6 @@ type Dir struct {
 	stats DirStats
 }
 
-// SetChaos installs a fault-injection engine on the directory bank (nil
-// disables injection).
-func (d *Dir) SetChaos(e *chaos.Engine) { d.chaos = e }
-
 // accessLat returns the LLC access latency for addr, plus chaos jitter.
 func (d *Dir) accessLat(addr memtypes.Addr, needData bool, syncKind uint8) uint64 {
 	lat := d.data.Access(addr, needData, syncKind)
@@ -96,10 +83,11 @@ func (d *Dir) accessLat(addr memtypes.Addr, needData bool, syncKind uint8) uint6
 	return lat
 }
 
-// NewDir builds the directory bank for node id.
-func NewDir(k *sim.Kernel, id memtypes.NodeID, mesh *noc.Mesh, store *mem.Store) *Dir {
+// newDir builds the directory bank for node id; e, when non-nil,
+// jitters its access latencies.
+func newDir(k *sim.Kernel, id memtypes.NodeID, mesh *noc.Mesh, store *mem.Store, e *chaos.Engine) *Dir {
 	return &Dir{
-		k: k, id: id, mesh: mesh, store: store,
+		k: k, id: id, mesh: mesh, store: store, chaos: e,
 		data:   mem.NewBank(),
 		lines:  make(map[memtypes.Addr]*dirLine),
 		busy:   make(map[memtypes.Addr]*trans),
@@ -109,9 +97,6 @@ func NewDir(k *sim.Kernel, id memtypes.NodeID, mesh *noc.Mesh, store *mem.Store)
 
 // Stats returns the directory counters.
 func (d *Dir) Stats() DirStats { return d.stats }
-
-// DataStats returns the LLC access counters.
-func (d *Dir) DataStats() mem.BankStats { return d.data.Stats() }
 
 // Sharers reports the sharer count and owner for a line (tests).
 func (d *Dir) Sharers(addr memtypes.Addr) (sharers int, owner int) {
@@ -198,9 +183,6 @@ func (d *Dir) end(addr memtypes.Addr) {
 	}
 }
 
-// SetCyclesObserver installs the cycle-accounting hook (nil disables).
-func (d *Dir) SetCyclesObserver(fn cycles.Hook) { d.cyc = fn }
-
 // cycArrive closes the requester's NoC leg when its request reaches the
 // directory and, if the line is busy (the request will be deferred),
 // opens a coherence leg covering the wait behind the in-flight
@@ -238,7 +220,7 @@ func (d *Dir) Deliver(msg *memtypes.Message) {
 //
 //cbsim:hotpath
 func (d *Dir) grant(msg *memtypes.Message, kind memtypes.MsgKind) {
-	lat := d.accessLat(msg.Addr, true, reqSyncKind(msg.Req))
+	lat := d.accessLat(msg.Addr, true, msg.Req.SyncPhase())
 	if d.cyc != nil {
 		d.cyc(int(msg.Core), cycles.EvSpan, d.k.Now(), d.k.Now()+lat,
 			uint64(cycles.CatLLCStall))

@@ -85,14 +85,13 @@ type L1 struct {
 	respTo memtypes.Completer
 
 	// Monitor (quiesce/MWAIT) extension state; see monitor.go.
-	//cbvet:ephemeral configuration toggle set at wiring time, never changed mid-run
 	monitorEnabled bool
 	monitor        monitorState
 	monStats       MonitorStats
 
 	// monObserver, when set, receives "mon.arm" and "mon.wake" monitor
 	// events (tracing).
-	monObserver func(cycle uint64, addr memtypes.Addr, what string)
+	monObserver mem.Observer
 
 	// cyc, when set, receives cycle-accounting segments for the core's
 	// in-flight miss (observational only).
@@ -101,22 +100,16 @@ type L1 struct {
 	stats L1Stats
 }
 
-// NewL1 builds the MESI L1 for core id (32KB, 4-way).
-func NewL1(k *sim.Kernel, id memtypes.NodeID, mesh *noc.Mesh, store *mem.Store, bankOf func(memtypes.Addr) memtypes.NodeID) *L1 {
+// newL1 builds the MESI L1 for core id (32KB, 4-way).
+func newL1(k *sim.Kernel, id memtypes.NodeID, mesh *noc.Mesh, store *mem.Store, bankOf func(memtypes.Addr) memtypes.NodeID, monitor bool) *L1 {
 	return &L1{
-		k: k, id: id, mesh: mesh, store: store, bankOf: bankOf,
+		k: k, id: id, mesh: mesh, store: store, bankOf: bankOf, monitorEnabled: monitor,
 		arr: cache.NewArray[l1Line](32*1024, 4),
 	}
 }
 
-// SetCyclesObserver installs the cycle-accounting hook (nil disables).
-func (l *L1) SetCyclesObserver(fn cycles.Hook) { l.cyc = fn }
-
 // Stats returns the L1 counters.
 func (l *L1) Stats() L1Stats { return l.stats }
-
-// ID returns the tile's node ID.
-func (l *L1) ID() memtypes.NodeID { return l.id }
 
 // LineState reports the state of addr's line (tests). ok is false when
 // the line is not resident.

@@ -17,7 +17,14 @@
 // needs no self-invalidation and spins efficiently on local S copies.
 package mesi
 
-import "repro/internal/memtypes"
+import (
+	"repro/internal/chaos"
+	"repro/internal/cycles"
+	"repro/internal/mem"
+	"repro/internal/memtypes"
+	"repro/internal/noc"
+	"repro/internal/sim"
+)
 
 // Message kinds.
 const (
@@ -58,6 +65,17 @@ type Tile struct {
 	Dir *Dir
 }
 
+// NewTile builds node id's L1 and directory bank. monitor turns on the
+// L1's MONITOR/MWAIT handling of OpReadCB (see monitor.go); e, when
+// non-nil, jitters the bank's access latencies.
+func NewTile(k *sim.Kernel, id memtypes.NodeID, mesh *noc.Mesh, store *mem.Store,
+	bankOf func(memtypes.Addr) memtypes.NodeID, monitor bool, e *chaos.Engine) *Tile {
+	return &Tile{
+		L1:  newL1(k, id, mesh, store, bankOf, monitor),
+		Dir: newDir(k, id, mesh, store, e),
+	}
+}
+
 // Deliver implements noc.Handler.
 func (t *Tile) Deliver(msg *memtypes.Message) {
 	switch msg.Kind {
@@ -67,3 +85,29 @@ func (t *Tile) Deliver(msg *memtypes.Message) {
 		t.L1.Deliver(msg)
 	}
 }
+
+// Port returns the L1, the port the node's core issues into.
+func (t *Tile) Port() memtypes.Port { return t.L1 }
+
+// SetObserver installs the tracing hook for monitor arm/wake events (nil
+// disables).
+func (t *Tile) SetObserver(fn mem.Observer) { t.L1.monObserver = fn }
+
+// SetCyclesObserver installs the cycle-accounting hook on both
+// controllers (nil disables).
+func (t *Tile) SetCyclesObserver(fn cycles.Hook) { t.L1.cyc, t.Dir.cyc = fn, fn }
+
+// Stats returns the tile's counters.
+func (t *Tile) Stats() mem.TileStats {
+	s := t.Dir.data.TileStats()
+	s.L1Accesses, s.L1Hits = t.L1.stats.Accesses, t.L1.stats.Hits
+	s.MonitorArms, s.MonitorWakeups = t.L1.monStats.Arms, t.L1.monStats.Wakeups
+	return s
+}
+
+// Parked, ParkedOp and CheckInvariants report that nothing parks at a
+// MESI tile: the directory blocks per line and defers, and there is no
+// callback directory whose bits could lose a wakeup.
+func (t *Tile) Parked() int                                    { return 0 }
+func (t *Tile) ParkedOp(memtypes.NodeID) (memtypes.Addr, bool) { return 0, false }
+func (t *Tile) CheckInvariants(bool) error                     { return nil }

@@ -34,10 +34,7 @@ func newRig(t testing.TB, nodes int) *rig {
 	r := &rig{k: k, mesh: mesh, store: store}
 	for n := 0; n < nodes; n++ {
 		id := memtypes.NodeID(n)
-		tile := &Tile{
-			L1:  NewL1(k, id, mesh, store, bankOf),
-			Dir: NewDir(k, id, mesh, store),
-		}
+		tile := NewTile(k, id, mesh, store, bankOf, false, nil)
 		mesh.Attach(id, tile)
 		r.tiles = append(r.tiles, tile)
 	}
@@ -293,10 +290,10 @@ func TestSyncAttributionReachesLLC(t *testing.T) {
 	r := newRig(t, 4)
 	r.access(t, 0, &memtypes.Request{Kind: memtypes.OpRead, Addr: 0x900, Sync: true, SyncKind: 3})
 	dir := r.tiles[memtypes.NodeID(0x900/64%4)].Dir
-	if dir.DataStats().SyncAccesses != 1 {
-		t.Fatalf("sync LLC accesses = %d, want 1", dir.DataStats().SyncAccesses)
+	if dir.data.Stats().SyncAccesses != 1 {
+		t.Fatalf("sync LLC accesses = %d, want 1", dir.data.Stats().SyncAccesses)
 	}
-	if dir.DataStats().SyncByKind[3] != 1 {
-		t.Fatalf("per-kind sync accesses = %v", dir.DataStats().SyncByKind)
+	if dir.data.Stats().SyncByKind[3] != 1 {
+		t.Fatalf("per-kind sync accesses = %v", dir.data.Stats().SyncByKind)
 	}
 }

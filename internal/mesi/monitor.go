@@ -41,25 +41,9 @@ type monitorState struct {
 	done memtypes.Completer
 }
 
-// EnableMonitor turns on MONITOR/MWAIT handling for OpReadCB requests:
-// instead of mapping them to plain loads, the L1 arms a monitor on the
-// line and halts until it is invalidated (or the first check finds the
-// line changed). This gives MESI a power/traffic-friendly spin primitive
-// to compare against callbacks.
-func (l *L1) EnableMonitor() { l.monitorEnabled = true }
-
-// MonitorStats returns the monitor counters.
-func (l *L1) MonitorStats() MonitorStats { return l.monStats }
-
-// SetMonitorObserver installs a tracing hook for monitor arm/wake events
-// (nil disables).
-func (l *L1) SetMonitorObserver(fn func(cycle uint64, addr memtypes.Addr, what string)) {
-	l.monObserver = fn
-}
-
 func (l *L1) monObserve(addr memtypes.Addr, what string) {
 	if l.monObserver != nil {
-		l.monObserver(l.k.Now(), addr, what)
+		l.monObserver(l.k.Now(), l.id, addr, what, 0)
 	}
 }
 

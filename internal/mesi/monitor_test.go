@@ -10,7 +10,7 @@ import (
 // the monitor via an OpReadCB, and checks it halts without polling.
 func TestMonitorHaltsUntilInvalidation(t *testing.T) {
 	r := newRig(t, 4)
-	r.tiles[1].L1.EnableMonitor()
+	r.tiles[1].L1.monitorEnabled = true
 	flag := memtypes.Addr(0x100)
 
 	// Reader caches the flag (value 0).
@@ -28,7 +28,7 @@ func TestMonitorHaltsUntilInvalidation(t *testing.T) {
 	if got != nil {
 		t.Fatal("monitored read completed without a write")
 	}
-	ms := r.tiles[1].L1.MonitorStats()
+	ms := r.tiles[1].L1.monStats
 	if ms.Arms != 1 {
 		t.Fatalf("arms = %d, want 1", ms.Arms)
 	}
@@ -50,7 +50,7 @@ func TestMonitorHaltsUntilInvalidation(t *testing.T) {
 	if got.Value != 5 {
 		t.Fatalf("woken value = %d, want 5", got.Value)
 	}
-	if r.tiles[1].L1.MonitorStats().Wakeups != 1 {
+	if r.tiles[1].L1.monStats.Wakeups != 1 {
 		t.Fatal("wakeup not counted")
 	}
 }
@@ -61,14 +61,14 @@ func TestMonitorHaltsUntilInvalidation(t *testing.T) {
 // prevents lost wake-ups.
 func TestMonitorMissObservesCurrentValue(t *testing.T) {
 	r := newRig(t, 4)
-	r.tiles[1].L1.EnableMonitor()
+	r.tiles[1].L1.monitorEnabled = true
 	flag := memtypes.Addr(0x200)
 	r.access(t, 0, &memtypes.Request{Kind: memtypes.OpWrite, Addr: flag, Value: 3})
 	resp := r.access(t, 1, &memtypes.Request{Kind: memtypes.OpReadCB, Addr: flag})
 	if resp.Value != 3 {
 		t.Fatalf("fresh monitored read = %d, want 3", resp.Value)
 	}
-	if r.tiles[1].L1.MonitorStats().Arms != 0 {
+	if r.tiles[1].L1.monStats.Arms != 0 {
 		t.Fatal("miss should not arm the monitor")
 	}
 }
@@ -77,7 +77,7 @@ func TestMonitorMissObservesCurrentValue(t *testing.T) {
 // line) must also wake the monitor.
 func TestMonitorWokenByOwnerTransfer(t *testing.T) {
 	r := newRig(t, 4)
-	r.tiles[1].L1.EnableMonitor()
+	r.tiles[1].L1.monitorEnabled = true
 	flag := memtypes.Addr(0x300)
 	// Reader holds the line in E (sole reader -> exclusive grant).
 	r.access(t, 1, &memtypes.Request{Kind: memtypes.OpRead, Addr: flag})

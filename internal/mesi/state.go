@@ -99,21 +99,22 @@ type TileState struct {
 	Dir DirState
 }
 
-// State captures the tile's mutable state.
-func (t *Tile) State() (TileState, error) {
+// State captures the tile's mutable state as a TileState.
+func (t *Tile) State() (any, error) {
 	l1, err := t.L1.State()
 	if err != nil {
-		return TileState{}, err
+		return nil, err
 	}
 	dir, err := t.Dir.State()
 	if err != nil {
-		return TileState{}, err
+		return nil, err
 	}
 	return TileState{L1: l1, Dir: dir}, nil
 }
 
-// SetState overwrites the tile's mutable state.
-func (t *Tile) SetState(st TileState) {
-	t.L1.SetState(st.L1)
-	t.Dir.SetState(st.Dir)
+// SetState overwrites the tile's mutable state from a TileState.
+func (t *Tile) SetState(st any) {
+	s := st.(TileState)
+	t.L1.SetState(s.L1)
+	t.Dir.SetState(s.Dir)
 }

@@ -58,9 +58,6 @@ type Stats struct {
 type Mesh struct {
 	k             *sim.Kernel
 	width, height int
-	//cbvet:ephemeral configuration fixed at wiring time, re-applied by machine construction on restore
-	switchLat uint64
-	localLat  uint64
 	// handlers holds the per-node delivery endpoints installed by
 	// Attach during machine wiring.
 	//cbvet:ephemeral wiring: delivery endpoints are re-attached at construction, not restored
@@ -124,19 +121,14 @@ func New(k *sim.Kernel, width, height int) *Mesh {
 		panic("noc: mesh dimensions must be positive")
 	}
 	return &Mesh{
-		k:         k,
-		width:     width,
-		height:    height,
-		switchLat: DefaultSwitchLatency,
-		localLat:  DefaultLocalLatency,
-		handlers:  make([]Handler, width*height),
-		linkFree:  make([][numDirs]uint64, width*height),
-		linkBusy:  make([][numDirs]uint64, width*height),
+		k:        k,
+		width:    width,
+		height:   height,
+		handlers: make([]Handler, width*height),
+		linkFree: make([][numDirs]uint64, width*height),
+		linkBusy: make([][numDirs]uint64, width*height),
 	}
 }
-
-// SetSwitchLatency overrides the per-hop switch latency.
-func (m *Mesh) SetSwitchLatency(cycles uint64) { m.switchLat = cycles }
 
 // SetIdeal toggles contentionless mode: no link serialization or
 // queueing, pure hops x switch latency. Traffic is still accounted in
@@ -306,11 +298,11 @@ func (m *Mesh) Send(msg *memtypes.Message) {
 	}
 	if msg.Src == msg.Dst {
 		if m.chaos != nil {
-			t := m.chaosClamp(msg.Dst, floorLocal, m.k.Now()+m.localLat+delay)
+			t := m.chaosClamp(msg.Dst, floorLocal, m.k.Now()+DefaultLocalLatency+delay)
 			m.k.AtActor(t, m, msg, uint64(msg.Dst))
 			return
 		}
-		m.k.ScheduleActor(m.localLat, m, msg, uint64(msg.Dst))
+		m.k.ScheduleActor(DefaultLocalLatency, m, msg, uint64(msg.Dst))
 		return
 	}
 	m.stats.Messages++
@@ -320,11 +312,11 @@ func (m *Mesh) Send(msg *memtypes.Message) {
 		m.stats.FlitHops += uint64(msg.Flits()) * hops
 		m.stats.Hops += hops
 		if m.chaos != nil {
-			t := m.chaosClamp(msg.Dst, floorLocal, m.k.Now()+hops*m.switchLat+delay)
+			t := m.chaosClamp(msg.Dst, floorLocal, m.k.Now()+hops*DefaultSwitchLatency+delay)
 			m.k.AtActor(t, m, msg, uint64(msg.Dst))
 			return
 		}
-		m.k.ScheduleActor(hops*m.switchLat, m, msg, uint64(msg.Dst))
+		m.k.ScheduleActor(hops*DefaultSwitchLatency, m, msg, uint64(msg.Dst))
 		return
 	}
 	if m.chaos != nil {
@@ -385,7 +377,7 @@ func (m *Mesh) hop(msg *memtypes.Message, at memtypes.NodeID) {
 	m.stats.FlitHops += flits
 	m.stats.Hops++
 
-	arrive := depart + m.switchLat
+	arrive := depart + DefaultSwitchLatency
 	if m.chaos != nil {
 		arrive = m.chaosClamp(at, int(dir), arrive+m.chaos.HopJitter())
 	}

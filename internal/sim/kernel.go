@@ -1,8 +1,9 @@
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
 // All simulator components (cores, cache controllers, network routers)
-// schedule closures at absolute or relative cycle times. Events that share
-// a cycle fire in scheduling order, which makes every run bit-reproducible:
+// schedule Actor events (a receiver plus an inline payload, so nothing
+// allocates) at absolute or relative cycle times. Events that share a
+// cycle fire in scheduling order, which makes every run bit-reproducible:
 // the queue is ordered by (time, sequence number).
 //
 // The scheduler is two-tiered. Near-future events — the overwhelmingly

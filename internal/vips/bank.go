@@ -68,7 +68,7 @@ type Bank struct {
 	// (tracing): "cb.block", "cb.wake", "cb.stale" (core = the waiting
 	// core), and "cb.occ" (core = this bank, arg = live entries after a
 	// consultation).
-	observer func(cycle uint64, core memtypes.NodeID, addr memtypes.Addr, what string, arg uint64)
+	observer mem.Observer
 
 	// cyc, when set, receives cycle-accounting segments for requester
 	// cores' in-flight racy operations (observational only).
@@ -77,13 +77,14 @@ type Bank struct {
 	stats BankCtrlStats
 }
 
-// NewBank builds the bank controller for node id. cores sizes the
+// newBank builds the bank controller for node id. cores sizes the
 // callback directory's bit vectors; cfg selects back-off vs callback
-// mode.
-func NewBank(k *sim.Kernel, id memtypes.NodeID, mesh *noc.Mesh, store *mem.Store, cores int, cfg Config) *Bank {
+// mode; e, when non-nil, injects faults.
+func newBank(k *sim.Kernel, id memtypes.NodeID, mesh *noc.Mesh, store *mem.Store, cores int, cfg Config, e *chaos.Engine) *Bank {
 	b := &Bank{
 		k: k, id: id, mesh: mesh, store: store,
 		mode:       cfg.Mode,
+		chaos:      e,
 		data:       mem.NewBank(),
 		busy:       make(map[memtypes.Addr]bool),
 		deferq:     make(map[memtypes.Addr][]*memtypes.Message),
@@ -102,14 +103,6 @@ func NewBank(k *sim.Kernel, id memtypes.NodeID, mesh *noc.Mesh, store *mem.Store
 
 // Stats returns the controller counters.
 func (b *Bank) Stats() BankCtrlStats { return b.stats }
-
-// SetObserver installs a tracing hook for callback-directory activity.
-func (b *Bank) SetObserver(fn func(cycle uint64, core memtypes.NodeID, addr memtypes.Addr, what string, arg uint64)) {
-	b.observer = fn
-}
-
-// SetCyclesObserver installs the cycle-accounting hook (nil disables).
-func (b *Bank) SetCyclesObserver(fn cycles.Hook) { b.cyc = fn }
 
 // cycSpan books a closed cycle-accounting segment for core.
 func (b *Bank) cycSpan(core memtypes.NodeID, lat uint64, cat cycles.Category) {
@@ -133,20 +126,8 @@ func (b *Bank) observeOcc(addr memtypes.Addr) {
 	}
 }
 
-// DataStats returns the underlying LLC access counters.
-func (b *Bank) DataStats() mem.BankStats { return b.data.Stats() }
-
 // CBDir exposes the callback directory (nil in back-off mode) for stats.
 func (b *Bank) CBDir() *core.Directory { return b.cbdir }
-
-// reqSyncKind extracts the synchronization-phase kind of a request (0
-// when absent or not synchronizing).
-func reqSyncKind(req *memtypes.Request) uint8 {
-	if req == nil || !req.Sync {
-		return 0
-	}
-	return req.SyncKind
-}
 
 // Bank event stages, passed as the arg of Act. Every event but evWake
 // carries the request message it serves as data.
@@ -219,7 +200,7 @@ func (b *Bank) locked(msg *memtypes.Message) {
 //
 //cbsim:hotpath
 func (b *Bank) access(msg *memtypes.Message, addr memtypes.Addr, ev uint64) {
-	lat := b.accessLat(addr, true, reqSyncKind(msg.Req))
+	lat := b.accessLat(addr, true, msg.Req.SyncPhase())
 	b.cycSpan(msg.Core, lat, cycles.CatLLCStall)
 	b.k.ScheduleActor(lat, b, msg, ev)
 }
@@ -566,15 +547,4 @@ func (b *Bank) ack(msg *memtypes.Message) {
 	if b.cyc != nil {
 		b.cyc(int(resp.Core), cycles.EvOpen, b.k.Now(), uint64(cycles.CatNoC), 0)
 	}
-}
-
-// Parked reports how many operations are currently blocked in the bank's
-// callback directory (tests and deadlock diagnostics).
-func (b *Bank) Parked() int {
-	n := 0
-	//cbvet:unordered commutative sum over parked sets
-	for _, m := range b.parked {
-		n += len(m)
-	}
-	return n
 }

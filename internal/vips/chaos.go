@@ -3,18 +3,13 @@ package vips
 import (
 	"fmt"
 
-	"repro/internal/chaos"
 	"repro/internal/memtypes"
 )
 
-// This file holds the bank's fault-injection hooks and the callback
-// invariant checker. Every hook is nil-guarded by the caller, so with
+// This file holds the bank's fault-injection hooks and the tile's
+// callback invariant checker. Every hook is nil-guarded by the caller, so with
 // chaos disabled the bank's behavior and Stats are bit-identical to a
 // build without this file.
-
-// SetChaos installs a fault-injection engine on the bank (nil disables
-// injection).
-func (b *Bank) SetChaos(e *chaos.Engine) { b.chaos = e }
 
 // injectChaos applies per-operation directory faults before a racy
 // operation is dispatched: a forced eviction of a random entry (whose
@@ -96,7 +91,7 @@ func (b *Bank) accessLat(addr memtypes.Addr, needData bool, syncKind uint8) uint
 	return lat
 }
 
-// CheckCallbackInvariants verifies the no-lost-wakeup contract between
+// CheckInvariants verifies the no-lost-wakeup contract between
 // the callback directory and the bank's parked operations: every set
 // callback bit must have a matching parked operation (a set bit with no
 // parked op is a wake that can never be delivered). Parked operations
@@ -104,10 +99,11 @@ func (b *Bank) accessLat(addr memtypes.Addr, needData bool, syncKind uint8) uint
 // write clears the bits, the wake message delivers later), so the
 // reverse direction only holds when final is true — after the machine
 // has quiesced — where both counts must be exactly zero.
-func (b *Bank) CheckCallbackInvariants(final bool) error {
+func (t *Tile) CheckInvariants(final bool) error {
+	b := t.Bank
 	if b.cbdir == nil {
-		if final && b.Parked() != 0 {
-			return fmt.Errorf("vips: bank %d: %d operations parked with no callback directory", b.id, b.Parked())
+		if final && t.Parked() != 0 {
+			return fmt.Errorf("vips: bank %d: %d operations parked with no callback directory", b.id, t.Parked())
 		}
 		return nil
 	}
@@ -132,7 +128,7 @@ func (b *Bank) CheckCallbackInvariants(final bool) error {
 		return err
 	}
 	if final {
-		if n := b.Parked(); n != 0 {
+		if n := t.Parked(); n != 0 {
 			return fmt.Errorf("vips: bank %d: %d operations still parked after quiesce", b.id, n)
 		}
 		if waiters != 0 {
@@ -146,9 +142,9 @@ func (b *Bank) CheckCallbackInvariants(final bool) error {
 // if any. A core has at most one operation in flight, so at most one
 // entry across all banks can match; the map scan is therefore
 // order-independent.
-func (b *Bank) ParkedOp(core memtypes.NodeID) (memtypes.Addr, bool) {
+func (t *Tile) ParkedOp(core memtypes.NodeID) (memtypes.Addr, bool) {
 	//cbvet:unordered at most one parked op per core can match
-	for addr, m := range b.parked {
+	for addr, m := range t.Bank.parked {
 		if m[core] != nil {
 			return addr, true
 		}

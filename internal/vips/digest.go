@@ -15,6 +15,12 @@ import (
 // work hashes its queue depth. Scheduled events are not hashed; they are
 // pure functions of this state in a deterministic run.
 
+// Digest folds the L1's state, then the bank's.
+func (t *Tile) Digest(h *digest.Hash) {
+	t.L1.Digest(h)
+	t.Bank.Digest(h)
+}
+
 // Digest folds the L1's cache array (dirty masks, private bits), any
 // pending operation, the outstanding write-through count, and the
 // counters.
@@ -72,41 +78,24 @@ func (b *Bank) Digest(h *digest.Hash) {
 		}
 	}
 
-	busyAddrs := make([]memtypes.Addr, 0, len(b.busy))
-	for a := range b.busy { //cbvet:unordered — keys are sorted before hashing
-		busyAddrs = append(busyAddrs, a)
-	}
-	sort.Slice(busyAddrs, func(i, j int) bool { return busyAddrs[i] < busyAddrs[j] })
+	busyAddrs := digest.SortedKeys(b.busy)
 	h.Int(len(busyAddrs))
 	for _, a := range busyAddrs {
 		h.U64(uint64(a))
 	}
 
-	defAddrs := make([]memtypes.Addr, 0, len(b.deferq))
-	for a := range b.deferq { //cbvet:unordered — keys are sorted before hashing
-		defAddrs = append(defAddrs, a)
-	}
-	sort.Slice(defAddrs, func(i, j int) bool { return defAddrs[i] < defAddrs[j] })
+	defAddrs := digest.SortedKeys(b.deferq)
 	h.Int(len(defAddrs))
 	for _, a := range defAddrs {
 		h.U64(uint64(a))
 		h.Int(len(b.deferq[a]))
 	}
 
-	parkAddrs := make([]memtypes.Addr, 0, len(b.parked))
-	for a := range b.parked { //cbvet:unordered — keys are sorted before hashing
-		parkAddrs = append(parkAddrs, a)
-	}
-	sort.Slice(parkAddrs, func(i, j int) bool { return parkAddrs[i] < parkAddrs[j] })
+	parkAddrs := digest.SortedKeys(b.parked)
 	h.Int(len(parkAddrs))
 	for _, a := range parkAddrs {
 		h.U64(uint64(a))
-		cores := make([]memtypes.NodeID, 0, len(b.parked[a]))
-		for c := range b.parked[a] { //cbvet:unordered — keys are sorted before hashing
-			cores = append(cores, c)
-		}
-		sort.Slice(cores, func(i, j int) bool { return cores[i] < cores[j] })
-		for _, c := range cores {
+		for _, c := range digest.SortedKeys(b.parked[a]) {
 			h.Int(int(c))
 			b.parked[a][c].Digest(h)
 		}

@@ -80,16 +80,13 @@ type L1 struct {
 	stats L1Stats
 }
 
-// NewL1 builds the L1 for core id with the paper's 32KB 4-way geometry.
-func NewL1(k *sim.Kernel, id memtypes.NodeID, mesh *noc.Mesh, bankOf func(memtypes.Addr) memtypes.NodeID) *L1 {
+// newL1 builds the L1 for core id with the paper's 32KB 4-way geometry.
+func newL1(k *sim.Kernel, id memtypes.NodeID, mesh *noc.Mesh, bankOf func(memtypes.Addr) memtypes.NodeID) *L1 {
 	return &L1{
 		k: k, id: id, mesh: mesh, bankOf: bankOf,
 		arr: cache.NewArray[l1Line](32*1024, 4),
 	}
 }
-
-// SetCyclesObserver installs the cycle-accounting hook (nil disables).
-func (l *L1) SetCyclesObserver(fn cycles.Hook) { l.cyc = fn }
 
 // Stats returns the L1 counters.
 func (l *L1) Stats() L1Stats { return l.stats }

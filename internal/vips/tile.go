@@ -1,7 +1,12 @@
 package vips
 
 import (
+	"repro/internal/chaos"
+	"repro/internal/cycles"
+	"repro/internal/mem"
 	"repro/internal/memtypes"
+	"repro/internal/noc"
+	"repro/internal/sim"
 )
 
 // Tile bundles one node's L1 and LLC bank controller and demultiplexes
@@ -9,6 +14,17 @@ import (
 type Tile struct {
 	L1   *L1
 	Bank *Bank
+}
+
+// NewTile builds node id's L1 and bank controller. cores sizes the
+// callback directory; cfg.Mode selects back-off, callback or queue-lock
+// handling of spin-waiting; e, when non-nil, injects faults at the bank.
+func NewTile(k *sim.Kernel, id memtypes.NodeID, mesh *noc.Mesh, store *mem.Store, cores int,
+	bankOf func(memtypes.Addr) memtypes.NodeID, cfg Config, e *chaos.Engine) *Tile {
+	return &Tile{
+		L1:   newL1(k, id, mesh, bankOf),
+		Bank: newBank(k, id, mesh, store, cores, cfg, e),
+	}
 }
 
 // Deliver implements noc.Handler.
@@ -19,4 +35,39 @@ func (t *Tile) Deliver(msg *memtypes.Message) {
 	default:
 		t.L1.Deliver(msg)
 	}
+}
+
+// Port returns the L1, the port the node's core issues into.
+func (t *Tile) Port() memtypes.Port { return t.L1 }
+
+// SetObserver installs the tracing hook for callback-directory activity
+// (nil disables).
+func (t *Tile) SetObserver(fn mem.Observer) { t.Bank.observer = fn }
+
+// SetCyclesObserver installs the cycle-accounting hook on both
+// controllers (nil disables).
+func (t *Tile) SetCyclesObserver(fn cycles.Hook) { t.L1.cyc, t.Bank.cyc = fn, fn }
+
+// Stats returns the tile's counters.
+func (t *Tile) Stats() mem.TileStats {
+	s := t.Bank.data.TileStats()
+	s.L1Accesses, s.L1Hits = t.L1.stats.Accesses, t.L1.stats.Hits
+	b := t.Bank.stats
+	s.CBDirAccesses, s.CBWakes, s.CBStaleWakes = b.CBDirAccesses, b.Wakes, b.StaleWakes
+	if dir := t.Bank.cbdir; dir != nil {
+		ds := dir.Stats()
+		s.CBEvictions, s.CBInstalls = ds.Evictions, ds.Installs
+	}
+	return s
+}
+
+// Parked reports how many operations are blocked in the bank's callback
+// directory.
+func (t *Tile) Parked() int {
+	n := 0
+	//cbvet:unordered commutative sum over parked sets
+	for _, m := range t.Bank.parked {
+		n += len(m)
+	}
+	return n
 }

@@ -37,10 +37,7 @@ func newRig(t testing.TB, nodes int, cfg Config) *rig {
 	r := &rig{k: k, mesh: mesh, store: store}
 	for n := 0; n < nodes; n++ {
 		id := memtypes.NodeID(n)
-		tile := &Tile{
-			L1:   NewL1(k, id, mesh, bankOf),
-			Bank: NewBank(k, id, mesh, store, nodes, cfg),
-		}
+		tile := NewTile(k, id, mesh, store, nodes, bankOf, cfg, nil)
 		mesh.Attach(id, tile)
 		r.tiles = append(r.tiles, tile)
 	}
@@ -212,7 +209,7 @@ func TestCallbackReadBlocksUntilWrite(t *testing.T) {
 	if got != nil {
 		t.Fatal("ld_cb completed without a write")
 	}
-	if r.tiles[memtypes.NodeID(0x700/64%4)].Bank.Parked() != 1 {
+	if r.tiles[memtypes.NodeID(0x700/64%4)].Parked() != 1 {
 		t.Fatal("ld_cb not parked at the owning bank")
 	}
 	// A st_through wakes it with the new value.
@@ -428,7 +425,7 @@ func TestLdCBInBackoffModeDegenerates(t *testing.T) {
 	if resp.Value != 0 {
 		t.Fatal("ld_cb in backoff mode should behave as ld_through")
 	}
-	if r.tiles[memtypes.NodeID(0xD00/64%4)].Bank.Parked() != 0 {
+	if r.tiles[memtypes.NodeID(0xD00/64%4)].Parked() != 0 {
 		t.Fatal("nothing should park in backoff mode")
 	}
 }
