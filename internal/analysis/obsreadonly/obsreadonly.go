@@ -5,8 +5,8 @@
 // The observability layer's correctness claim is that attaching any
 // number of sinks leaves Stats byte-identical (the
 // TestStatsByteIdenticalWithTracing regression). That holds only if the
-// observer callbacks installed via Set*Observer — and everything they
-// call — are pure readers of the machine. A single counter bump or map
+// observer hooks installed via SetObserver — and everything they call —
+// are pure readers of the machine. A single counter bump or map
 // insert inside a hook silently makes traced runs diverge from untraced
 // ones.
 package obsreadonly
@@ -23,8 +23,9 @@ var Analyzer = &analysis.Analyzer{
 	Name: "obsreadonly",
 	Doc: `forbid simulator-state writes in observer hooks
 
-Functions installed as observers (arguments to Set*Observer methods) and
-every same-package function they call must not:
+Functions installed as observers (arguments to SetObserver methods, the
+one hook every component exposes) and every same-package function they
+call must not:
 
   - assign to, increment, or delete from fields of types declared in
     simulator-core packages
@@ -75,16 +76,11 @@ func run(pass *analysis.Pass) error {
 }
 
 // isObserverRegistration reports whether call installs an observer: the
-// callee is named Set*Observer (SetObserver, SetMonitorObserver, ...).
+// callee is a SetObserver method (cores, the mesh and tiles each expose
+// exactly one).
 func isObserverRegistration(pass *analysis.Pass, call *ast.CallExpr) bool {
 	obj := calleeObj(pass, call.Fun)
-	if obj == nil {
-		return false
-	}
-	name := obj.Name()
-	const pre, suf = "Set", "Observer"
-	return len(name) >= len(pre)+len(suf) &&
-		name[:len(pre)] == pre && name[len(name)-len(suf):] == suf
+	return obj != nil && obj.Name() == "SetObserver"
 }
 
 type checker struct {

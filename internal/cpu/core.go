@@ -14,6 +14,7 @@ import (
 	"repro/internal/isa"
 	"repro/internal/memtypes"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // Config holds per-core execution parameters.
@@ -86,16 +87,10 @@ type Core struct {
 	done         bool
 	onDone       func(*Core)
 
-	// observer, when set, receives synchronization-phase and spin-wait
-	// events for tracing: "sync.begin"/"sync.end" (note = kind name, arg =
-	// episode cycles on end) and "spin.wait" (arg = wait cycles). The hook
-	// is observational only — it must not change timing.
-	observer func(cycle uint64, what, note string, arg uint64)
-
-	// cyc, when set, receives cycle-accounting events (retired batches,
-	// backoff waits, memory-stall boundaries). Observational only, like
-	// observer.
-	cyc cycles.Hook
+	// obs, when set, receives the core's events: sync phases, spin
+	// waits, retired batches, memory-stall boundaries and completion.
+	// The hook is observational only — it must not change timing.
+	obs trace.Hook
 
 	// The in-flight memory operation. A core has at most one, so it owns
 	// one request slot that the L1 reads until the op completes, plus
@@ -166,14 +161,8 @@ func (c *Core) CurrentInstr() *isa.Instr {
 // structure base addresses...).
 func (c *Core) SetReg(r isa.Reg, v uint64) { c.regs[r] = v }
 
-// SetObserver installs a tracing hook for sync phases and spin waits
-// (nil disables).
-func (c *Core) SetObserver(fn func(cycle uint64, what, note string, arg uint64)) {
-	c.observer = fn
-}
-
-// SetCyclesObserver installs the cycle-accounting hook (nil disables).
-func (c *Core) SetCyclesObserver(fn cycles.Hook) { c.cyc = fn }
+// SetObserver installs the core's event hook (nil disables).
+func (c *Core) SetObserver(fn trace.Hook) { c.obs = fn }
 
 // curKind is the innermost synchronization phase the core is in.
 func (c *Core) curKind() isa.SyncKind {
@@ -183,13 +172,22 @@ func (c *Core) curKind() isa.SyncKind {
 	return isa.SyncNone
 }
 
-// flushExec reports the batch cycles retired since the last flush to the
-// cycle-accounting hook, attributed to the current innermost sync phase.
+// emit reports one of the core's events to the hook, if installed.
+//
+//cbsim:hotpath
+func (c *Core) emit(k trace.Kind, cycle, a, b uint64) {
+	if c.obs != nil {
+		c.obs(trace.Event{Kind: k, Cycle: cycle, Node: c.id, A: a, B: b})
+	}
+}
+
+// flushExec reports the batch cycles retired since the last flush as an
+// exec event, attributed to the current innermost sync phase.
 func (c *Core) flushExec(elapsed uint64, rep *uint64) {
-	if c.cyc == nil || elapsed == *rep {
+	if c.obs == nil || elapsed == *rep {
 		return
 	}
-	c.cyc(int(c.id), cycles.EvExec, 0, elapsed-*rep, uint64(c.curKind()))
+	c.emit(trace.KindExec, c.k.Now()+elapsed, elapsed-*rep, uint64(c.curKind()))
 	*rep = elapsed
 }
 
@@ -238,7 +236,7 @@ const maxBatch = 4096
 //cbsim:hotpath
 func (c *Core) step() {
 	var elapsed uint64 // cycles consumed within this batch
-	var rep uint64     // cycles of this batch already flushed to c.cyc
+	var rep uint64     // cycles of this batch already reported as exec events
 	for n := 0; ; n++ {
 		if n >= maxBatch {
 			c.flushExec(elapsed, &rep)
@@ -309,9 +307,7 @@ func (c *Core) step() {
 				kind:  kind,
 				start: c.k.Now() + elapsed,
 			})
-			if c.observer != nil {
-				c.observer(c.k.Now()+elapsed, "sync.begin", kind.String(), 0)
-			}
+			c.emit(trace.KindSyncBegin, c.k.Now()+elapsed, 0, uint64(kind))
 			c.pc++
 		case isa.SyncEnd:
 			if len(c.syncStack) == 0 {
@@ -326,10 +322,7 @@ func (c *Core) step() {
 			}
 			c.stats.SyncCycles[top.kind] += c.k.Now() + elapsed - top.start
 			c.stats.SyncEntries[top.kind]++
-			if c.observer != nil {
-				c.observer(c.k.Now()+elapsed, "sync.end", top.kind.String(),
-					c.k.Now()+elapsed-top.start)
-			}
+			c.emit(trace.KindSyncEnd, c.k.Now()+elapsed, c.k.Now()+elapsed-top.start, uint64(top.kind))
 			c.pc++
 		case isa.BackoffReset:
 			c.backoffCount = 0
@@ -338,13 +331,8 @@ func (c *Core) step() {
 			c.pc++
 			wait := c.backoffInterval()
 			c.stats.BackoffCycles += wait
-			if c.observer != nil {
-				c.observer(c.k.Now()+elapsed, "spin.wait", "", wait)
-			}
 			c.flushExec(elapsed, &rep)
-			if c.cyc != nil && wait > 0 {
-				c.cyc(int(c.id), cycles.EvWait, 0, wait, uint64(c.curKind()))
-			}
+			c.emit(trace.KindSpinWait, c.k.Now()+elapsed, wait, uint64(c.curKind()))
 			c.k.ScheduleActor(elapsed+wait, c, nil, stageStep)
 			return
 		case isa.Done:
@@ -354,9 +342,7 @@ func (c *Core) step() {
 				panic(fmt.Sprintf("cpu: core %d finished inside a sync phase", c.id))
 			}
 			c.flushExec(elapsed, &rep)
-			if c.cyc != nil {
-				c.cyc(int(c.id), cycles.EvDone, c.stats.DoneAt, 0, 0)
-			}
+			c.emit(trace.KindDone, c.stats.DoneAt, 0, 0)
 			if c.onDone != nil {
 				c.k.ScheduleActor(elapsed, c, nil, stageDone)
 			}
@@ -467,10 +453,7 @@ func (c *Core) issueMem(in *isa.Instr, elapsed uint64) {
 //cbsim:hotpath
 func (c *Core) issue() {
 	c.issuedAt = c.k.Now()
-	if c.cyc != nil {
-		c.cyc(int(c.id), cycles.EvStallBegin, c.issuedAt,
-			uint64(c.req.SyncKind), uint64(stallCategory(c.req.Kind)))
-	}
+	c.emit(trace.KindStallBegin, c.issuedAt, uint64(c.req.SyncKind), uint64(stallCategory(c.req.Kind)))
 	c.port.Access(&c.req, c)
 }
 
@@ -479,9 +462,7 @@ func (c *Core) issue() {
 //
 //cbsim:hotpath
 func (c *Core) Complete(resp memtypes.Response) {
-	if c.cyc != nil {
-		c.cyc(int(c.id), cycles.EvStallEnd, c.k.Now(), 0, 0)
-	}
+	c.emit(trace.KindStallEnd, c.k.Now(), 0, 0)
 	if stall := c.k.Now() - c.issuedAt; stall >= IdleGateThreshold {
 		c.stats.MemStallCycles += stall
 	}

@@ -13,9 +13,10 @@
 // category, so per-core category sums always equal the accounted
 // horizon — machine.CheckInvariants asserts this at end of run.
 //
-// Feeding is observational-only (the PR-3 purity contract): components
-// call a nil-guarded Hook installed via Set*Observer setters, results
-// are byte-identical with accounting on or off, and the kernel hot path
+// Feeding is observational-only: the Accumulator is a trace.Sink
+// subscribed to the machine's one typed event stream, which components
+// emit through their nil-guarded SetObserver hook. Results are
+// byte-identical with accounting on or off, and the kernel hot path
 // stays allocation-free.
 package cycles
 
@@ -23,6 +24,8 @@ import (
 	"fmt"
 
 	"repro/internal/isa"
+	"repro/internal/memtypes"
+	"repro/internal/trace"
 )
 
 // Category is the exclusive attribution bucket of a simulated cycle.
@@ -75,49 +78,35 @@ func (c Category) String() string {
 	return fmt.Sprintf("category(%d)", uint8(c))
 }
 
-// Event tags one observation delivered through a Hook. The meaning of
-// the (cycle, a, b) operands depends on the event.
-type Event uint8
+// Open, Close and Span report to a component's hook h (if set) how part
+// of a core's in-flight stall is spent: Open starts an open-ended leg in
+// category cat, Close ends the most recent one, and Span claims the
+// closed interval [start, end).
+//
+//cbsim:hotpath
+func Open(h trace.Hook, cycle uint64, core memtypes.NodeID, cat Category) {
+	if h != nil {
+		h(trace.Event{Kind: trace.KindOpen, Cycle: cycle, Node: core, A: uint64(cat)})
+	}
+}
 
-const (
-	// EvExec: the core retired a batch of instructions.
-	// a = cycle count, b = innermost sync kind.
-	EvExec Event = iota
-	// EvWait: the core scheduled an exponential-backoff wait.
-	// a = cycle count, b = innermost sync kind.
-	EvWait
-	// EvStallBegin: a memory operation left the core.
-	// cycle = issue time, a = innermost sync kind, b = default Category
-	// for unclaimed parts of the stall window.
-	EvStallBegin
-	// EvStallEnd: the memory operation's response reached the core.
-	// cycle = completion time.
-	EvStallEnd
-	// EvDone: the core finished its program. cycle = completion time.
-	EvDone
-	// EvOpen: a component began an open-ended leg of the core's
-	// in-flight stall (message injected, op parked in the cb
-	// directory, monitor armed). cycle = start, a = Category.
-	EvOpen
-	// EvClose: the most recent open leg ended. cycle = end.
-	EvClose
-	// EvSpan: a component claims a closed interval of the stall
-	// (an LLC access, a cb-directory consult). cycle = start, a = end,
-	// b = Category.
-	EvSpan
-	// EvNoCSend / EvNoCDeliver: mesh-level injection/delivery of any
-	// message tagged with this core, feeding the aggregate
-	// messages-in-flight counter (union of in-flight intervals; not a
-	// per-core time category). cycle = injection/delivery time.
-	EvNoCSend
-	EvNoCDeliver
-)
+// Close ends core's open stall leg at cycle; see Open.
+//
+//cbsim:hotpath
+func Close(h trace.Hook, cycle uint64, core memtypes.NodeID) {
+	if h != nil {
+		h(trace.Event{Kind: trace.KindClose, Cycle: cycle, Node: core})
+	}
+}
 
-// Hook is the observation callback components call. Components keep it
-// nil-guarded in a plain func field (no interface boxing on annotated
-// hot paths) and install it through Set*Observer setters so the
-// obsreadonly analyzer vets the accounting side for purity.
-type Hook func(core int, ev Event, cycle, a, b uint64)
+// Span claims [start, end) of core's stall for cat; see Open.
+//
+//cbsim:hotpath
+func Span(h trace.Hook, start, end uint64, core memtypes.NodeID, cat Category) {
+	if h != nil {
+		h(trace.Event{Kind: trace.KindSpan, Cycle: start, Node: core, A: end, B: uint64(cat)})
+	}
+}
 
 // CoreStack is one core's cycle attribution, cross-tabulated by the
 // innermost synchronization phase the core was in when the cycles were
@@ -187,13 +176,13 @@ type coreAcc struct {
 	// the stack. Conservation follows because mark only advances in
 	// lockstep with stack additions.
 	mark uint64
-	// In-flight memory stall (between EvStallBegin and EvStallEnd).
+	// In-flight memory stall (between stall.begin and stall.end).
 	inStall   bool
 	stallKind isa.SyncKind
 	stallDef  Category
 	segs      []seg
-	// Open-ended component leg (EvOpen .. EvClose).
-	open      bool
+	// Open-ended component leg (open .. close).
+	openLeg   bool
 	openStart uint64
 	openCat   Category
 	// Completion.
@@ -229,10 +218,10 @@ func (c *coreAcc) add(kind isa.SyncKind, cat Category, n uint64) {
 
 // closeOpen ends the open component leg at cycle, if any.
 func (c *coreAcc) closeOpen(cycle uint64) {
-	if !c.open {
+	if !c.openLeg {
 		return
 	}
-	c.open = false
+	c.openLeg = false
 	if !c.inStall || cycle <= c.openStart {
 		return
 	}
@@ -270,9 +259,17 @@ func (c *coreAcc) commit(end uint64) {
 	c.inStall = false
 }
 
-// Accumulator receives Hook observations from every component of one
-// machine and maintains per-core cycle stacks. It is single-goroutine
-// like the machine that feeds it.
+// open starts an open-ended leg of the in-flight stall at cycle.
+func (c *coreAcc) open(cycle uint64, cat Category) {
+	if c.inStall {
+		c.closeOpen(cycle)
+		c.openLeg, c.openStart, c.openCat = true, cycle, cat
+	}
+}
+
+// Accumulator subscribes to a machine's event stream and maintains
+// per-core cycle stacks. It is single-goroutine like the machine that
+// feeds it.
 type Accumulator struct {
 	cores []coreAcc
 }
@@ -282,69 +279,73 @@ func NewAccumulator(n int) *Accumulator {
 	return &Accumulator{cores: make([]coreAcc, n)}
 }
 
-// Observe is the Hook components call; see the Event constants for the
-// operand meanings. Observations for out-of-range cores (possible only
-// for mesh-level events on protocol-internal messages) are dropped.
-func (a *Accumulator) Observe(core int, ev Event, cycle, x, y uint64) {
-	if core < 0 || core >= len(a.cores) {
+// Emit implements trace.Sink; trace.Kind documents the operands. Events
+// for out-of-range cores (possible only for mesh events on
+// protocol-internal messages) are dropped.
+func (a *Accumulator) Emit(e trace.Event) {
+	core := e.Node
+	if e.Kind == trace.KindSend || e.Kind == trace.KindDeliver {
+		core = e.MsgCore()
+	}
+	if core < 0 || int(core) >= len(a.cores) {
 		return
 	}
 	c := &a.cores[core]
-	switch ev {
-	case EvExec:
-		c.add(isa.SyncKind(y), CatCompute, x)
-		c.mark += x
-	case EvWait:
-		kind := isa.SyncKind(y)
+	switch e.Kind {
+	case trace.KindExec:
+		c.add(isa.SyncKind(e.B), CatCompute, e.A)
+		c.mark += e.A
+	case trace.KindSpinWait:
+		kind := isa.SyncKind(e.B)
 		cat := CatSpinWait
 		if kind == isa.SyncBarrier {
 			cat = CatBarrierWait
 		}
-		c.stack.ByPhase[kind][cat] += x
-		c.mark += x
-	case EvStallBegin:
+		c.stack.ByPhase[kind][cat] += e.A
+		c.mark += e.A
+	case trace.KindStallBegin:
 		c.inStall = true
-		c.stallKind = isa.SyncKind(x)
-		c.stallDef = Category(y)
-		c.open = false
+		c.stallKind = isa.SyncKind(e.A)
+		c.stallDef = Category(e.B)
+		c.openLeg = false
 		c.segs = c.segs[:0]
-	case EvStallEnd:
-		c.closeOpen(cycle)
+	case trace.KindStallEnd:
+		c.closeOpen(e.Cycle)
 		if c.inStall {
-			c.commit(cycle)
+			c.commit(e.Cycle)
 		}
-	case EvDone:
+	case trace.KindDone:
 		if c.inStall { // defensive: a Done core has no stall in flight
-			c.closeOpen(cycle)
-			c.commit(cycle)
+			c.closeOpen(e.Cycle)
+			c.commit(e.Cycle)
 		}
-		if cycle > c.mark {
-			c.add(isa.SyncNone, CatCompute, cycle-c.mark)
-			c.mark = cycle
+		if e.Cycle > c.mark {
+			c.add(isa.SyncNone, CatCompute, e.Cycle-c.mark)
+			c.mark = e.Cycle
 		}
-		c.done, c.doneAt = true, cycle
-	case EvOpen:
-		if c.inStall {
-			c.closeOpen(cycle)
-			c.open, c.openStart, c.openCat = true, cycle, Category(x)
+		c.done, c.doneAt = true, e.Cycle
+	case trace.KindOpen:
+		c.open(e.Cycle, Category(e.A))
+	case trace.KindCBBlock, trace.KindMonArm:
+		// A parked callback or a halted monitor: blocked, not spinning.
+		c.open(e.Cycle, CatCBBlocked)
+	case trace.KindClose, trace.KindCBWake, trace.KindCBStale, trace.KindMonWake:
+		c.closeOpen(e.Cycle)
+	case trace.KindSpan:
+		if c.inStall && e.A > e.Cycle {
+			c.closeOpen(e.Cycle)
+			c.segs = append(c.segs, seg{e.Cycle, e.A, Category(e.B)})
 		}
-	case EvClose:
-		c.closeOpen(cycle)
-	case EvSpan:
-		if c.inStall && x > cycle {
-			c.closeOpen(cycle)
-			c.segs = append(c.segs, seg{cycle, x, Category(y)})
-		}
-	case EvNoCSend:
+	case trace.KindSend:
 		if c.nocDepth == 0 {
-			c.nocStart = cycle
+			c.nocStart = e.Cycle
 		}
 		c.nocDepth++
-	case EvNoCDeliver:
+	case trace.KindDeliver:
 		if c.nocDepth > 0 {
 			c.nocDepth--
-			if c.nocDepth == 0 && cycle > c.nocStart {
-				c.msgCycles += cycle - c.nocStart
+			if c.nocDepth == 0 && e.Cycle > c.nocStart {
+				c.msgCycles += e.Cycle - c.nocStart
 			}
 		}
 	}

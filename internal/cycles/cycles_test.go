@@ -5,18 +5,30 @@ import (
 	"testing"
 
 	"repro/internal/isa"
+	"repro/internal/memtypes"
+	"repro/internal/trace"
 )
 
+// observe drives an accumulator with one event of core. A send or
+// deliver carries the core as its message's tag.
+func observe(a *Accumulator, core int, k trace.Kind, cycle, x, y uint64) {
+	e := trace.Event{Kind: k, Cycle: cycle, Node: memtypes.NodeID(core), A: x, B: y}
+	if k == trace.KindSend || k == trace.KindDeliver {
+		e.B = uint64(core) << 32
+	}
+	a.Emit(e)
+}
+
 // feed is shorthand for driving an accumulator with one core.
-func feed(a *Accumulator, ev Event, cycle, x, y uint64) { a.Observe(0, ev, cycle, x, y) }
+func feed(a *Accumulator, k trace.Kind, cycle, x, y uint64) { observe(a, 0, k, cycle, x, y) }
 
 func TestExecReclassifiesSpinAndBarrier(t *testing.T) {
 	a := NewAccumulator(1)
-	feed(a, EvExec, 0, 10, uint64(isa.SyncNone))
-	feed(a, EvExec, 0, 7, uint64(isa.SyncAcquire))
-	feed(a, EvExec, 0, 5, uint64(isa.SyncBarrier))
-	feed(a, EvExec, 0, 3, uint64(isa.SyncRelease))
-	feed(a, EvDone, 25, 0, 0)
+	feed(a, trace.KindExec, 0, 10, uint64(isa.SyncNone))
+	feed(a, trace.KindExec, 0, 7, uint64(isa.SyncAcquire))
+	feed(a, trace.KindExec, 0, 5, uint64(isa.SyncBarrier))
+	feed(a, trace.KindExec, 0, 3, uint64(isa.SyncRelease))
+	feed(a, trace.KindDone, 25, 0, 0)
 	ms := a.Snapshot(25)
 	tot := ms.Totals()
 	if tot[CatCompute] != 13 { // 10 none + 3 release
@@ -35,12 +47,12 @@ func TestExecReclassifiesSpinAndBarrier(t *testing.T) {
 
 func TestStallSegmentsClampedOverlapsAndGaps(t *testing.T) {
 	a := NewAccumulator(1)
-	feed(a, EvExec, 0, 10, uint64(isa.SyncNone)) // mark = 10
-	feed(a, EvStallBegin, 10, uint64(isa.SyncNone), uint64(CatL1Stall))
-	feed(a, EvSpan, 12, 14, uint64(CatNoC))      // [12,14) NoC
-	feed(a, EvSpan, 13, 16, uint64(CatLLCStall)) // overlaps; first claim wins -> [14,16)
-	feed(a, EvStallEnd, 18, 0, 0)                // gaps [10,12) and [16,18) -> L1 default
-	feed(a, EvDone, 18, 0, 0)
+	feed(a, trace.KindExec, 0, 10, uint64(isa.SyncNone)) // mark = 10
+	feed(a, trace.KindStallBegin, 10, uint64(isa.SyncNone), uint64(CatL1Stall))
+	feed(a, trace.KindSpan, 12, 14, uint64(CatNoC))      // [12,14) NoC
+	feed(a, trace.KindSpan, 13, 16, uint64(CatLLCStall)) // overlaps; first claim wins -> [14,16)
+	feed(a, trace.KindStallEnd, 18, 0, 0)                // gaps [10,12) and [16,18) -> L1 default
+	feed(a, trace.KindDone, 18, 0, 0)
 	ms := a.Snapshot(18)
 	tot := ms.Totals()
 	want := map[Category]uint64{CatCompute: 10, CatL1Stall: 4, CatNoC: 2, CatLLCStall: 2}
@@ -56,8 +68,8 @@ func TestStallSegmentsClampedOverlapsAndGaps(t *testing.T) {
 
 func TestOpenLegCommitsProvisionallyAtHorizon(t *testing.T) {
 	a := NewAccumulator(1)
-	feed(a, EvStallBegin, 0, uint64(isa.SyncWait), uint64(CatL1Stall))
-	feed(a, EvOpen, 5, uint64(CatCBBlocked), 0)
+	feed(a, trace.KindStallBegin, 0, uint64(isa.SyncWait), uint64(CatL1Stall))
+	feed(a, trace.KindOpen, 5, uint64(CatCBBlocked), 0)
 	// No close, no stall end: the snapshot closes and commits at the
 	// horizon without perturbing live state.
 	ms := a.Snapshot(20)
@@ -71,9 +83,9 @@ func TestOpenLegCommitsProvisionallyAtHorizon(t *testing.T) {
 		t.Errorf("spin_wait = %d, want 5", tot[CatSpinWait])
 	}
 	// Live state unperturbed: a later stall end commits the real window.
-	feed(a, EvClose, 30, 0, 0)
-	feed(a, EvStallEnd, 40, 0, 0)
-	feed(a, EvDone, 40, 0, 0)
+	feed(a, trace.KindClose, 30, 0, 0)
+	feed(a, trace.KindStallEnd, 40, 0, 0)
+	feed(a, trace.KindDone, 40, 0, 0)
 	if err := a.CheckConservation(40); err != nil {
 		t.Fatal(err)
 	}
@@ -84,10 +96,10 @@ func TestOpenLegCommitsProvisionallyAtHorizon(t *testing.T) {
 
 func TestSnapshotFillsIdleAfterDone(t *testing.T) {
 	a := NewAccumulator(2)
-	a.Observe(0, EvExec, 0, 10, uint64(isa.SyncNone))
-	a.Observe(0, EvDone, 10, 0, 0)
-	a.Observe(1, EvExec, 0, 20, uint64(isa.SyncNone))
-	a.Observe(1, EvDone, 20, 0, 0)
+	observe(a, 0, trace.KindExec, 0, 10, uint64(isa.SyncNone))
+	observe(a, 0, trace.KindDone, 10, 0, 0)
+	observe(a, 1, trace.KindExec, 0, 20, uint64(isa.SyncNone))
+	observe(a, 1, trace.KindDone, 20, 0, 0)
 	ms := a.Snapshot(20)
 	if got := ms.Cores[0].Categories()[CatIdle]; got != 10 {
 		t.Errorf("core 0 idle = %d, want 10", got)
@@ -105,9 +117,9 @@ func TestSnapshotFillsIdleAfterDone(t *testing.T) {
 
 func TestBackoffWaitCategory(t *testing.T) {
 	a := NewAccumulator(1)
-	feed(a, EvWait, 0, 8, uint64(isa.SyncWait))
-	feed(a, EvWait, 0, 4, uint64(isa.SyncBarrier))
-	feed(a, EvDone, 12, 0, 0)
+	feed(a, trace.KindSpinWait, 0, 8, uint64(isa.SyncWait))
+	feed(a, trace.KindSpinWait, 0, 4, uint64(isa.SyncBarrier))
+	feed(a, trace.KindDone, 12, 0, 0)
 	tot := a.Snapshot(12).Totals()
 	if tot[CatSpinWait] != 8 || tot[CatBarrierWait] != 4 {
 		t.Errorf("spin=%d barrier=%d, want 8/4", tot[CatSpinWait], tot[CatBarrierWait])
@@ -116,11 +128,11 @@ func TestBackoffWaitCategory(t *testing.T) {
 
 func TestNoCMsgCyclesUnionOfIntervals(t *testing.T) {
 	a := NewAccumulator(1)
-	feed(a, EvNoCSend, 0, 0, 0)
-	feed(a, EvNoCSend, 5, 0, 0) // nested: union, not sum
-	feed(a, EvNoCDeliver, 8, 0, 0)
-	feed(a, EvNoCDeliver, 10, 0, 0)
-	feed(a, EvNoCSend, 20, 0, 0)
+	feed(a, trace.KindSend, 0, 0, 0)
+	feed(a, trace.KindSend, 5, 0, 0) // nested: union, not sum
+	feed(a, trace.KindDeliver, 8, 0, 0)
+	feed(a, trace.KindDeliver, 10, 0, 0)
+	feed(a, trace.KindSend, 20, 0, 0)
 	ms := a.Snapshot(25) // open interval [20,25) counts to the horizon
 	if ms.NoCMsgCycles != 15 {
 		t.Errorf("NoCMsgCycles = %d, want 15 (10 closed + 5 open)", ms.NoCMsgCycles)
@@ -129,8 +141,8 @@ func TestNoCMsgCyclesUnionOfIntervals(t *testing.T) {
 
 func TestOutOfRangeCoreDropped(t *testing.T) {
 	a := NewAccumulator(2)
-	a.Observe(7, EvExec, 0, 100, 0) // mesh tag beyond the core count
-	a.Observe(-1, EvExec, 0, 100, 0)
+	observe(a, 7, trace.KindExec, 0, 100, 0) // mesh tag beyond the core count
+	observe(a, -1, trace.KindExec, 0, 100, 0)
 	for i, c := range a.Snapshot(0).Cores {
 		if c.Total() != 0 {
 			t.Errorf("core %d total = %d, want 0", i, c.Total())
@@ -140,9 +152,9 @@ func TestOutOfRangeCoreDropped(t *testing.T) {
 
 func TestWriteFolded(t *testing.T) {
 	a := NewAccumulator(1)
-	feed(a, EvExec, 0, 10, uint64(isa.SyncNone))
-	feed(a, EvExec, 0, 4, uint64(isa.SyncAcquire))
-	feed(a, EvDone, 14, 0, 0)
+	feed(a, trace.KindExec, 0, 10, uint64(isa.SyncNone))
+	feed(a, trace.KindExec, 0, 4, uint64(isa.SyncAcquire))
+	feed(a, trace.KindDone, 14, 0, 0)
 	var b strings.Builder
 	if err := WriteFolded(&b, []SetupStack{{Setup: "CB-One", Stack: a.Snapshot(14)}}); err != nil {
 		t.Fatal(err)
@@ -170,14 +182,14 @@ func TestObserveZeroAllocsSteadyState(t *testing.T) {
 	stall := func() {
 		for core := 0; core < 4; core++ {
 			c := uint64(core)
-			a.Observe(core, EvExec, 0, 5, uint64(isa.SyncAcquire))
-			a.Observe(core, EvStallBegin, cycle+c, uint64(isa.SyncAcquire), uint64(CatL1Stall))
-			a.Observe(core, EvNoCSend, cycle+c, 0, 0)
-			a.Observe(core, EvOpen, cycle+c, uint64(CatNoC), 0)
-			a.Observe(core, EvNoCDeliver, cycle+c+4, 0, 0)
-			a.Observe(core, EvClose, cycle+c+4, 0, 0)
-			a.Observe(core, EvSpan, cycle+c+4, cycle+c+6, uint64(CatLLCStall))
-			a.Observe(core, EvStallEnd, cycle+c+8, 0, 0)
+			observe(a, core, trace.KindExec, 0, 5, uint64(isa.SyncAcquire))
+			observe(a, core, trace.KindStallBegin, cycle+c, uint64(isa.SyncAcquire), uint64(CatL1Stall))
+			observe(a, core, trace.KindSend, cycle+c, 0, 0)
+			observe(a, core, trace.KindOpen, cycle+c, uint64(CatNoC), 0)
+			observe(a, core, trace.KindDeliver, cycle+c+4, 0, 0)
+			observe(a, core, trace.KindClose, cycle+c+4, 0, 0)
+			observe(a, core, trace.KindSpan, cycle+c+4, cycle+c+6, uint64(CatLLCStall))
+			observe(a, core, trace.KindStallEnd, cycle+c+8, 0, 0)
 		}
 		cycle += 16
 	}

@@ -60,7 +60,7 @@ func goldenFlavor(p Protocol) synclib.Flavor {
 type hashSink struct{ h hash.Hash }
 
 func (s hashSink) Emit(e trace.Event) {
-	fmt.Fprintf(s.h, "%d|%d|%s|%d|%d|%s\n", e.Cycle, e.Node, e.What, e.Addr, e.Arg, e.Note)
+	fmt.Fprintf(s.h, "%d|%d|%s|%d|%d|%s\n", e.Cycle, e.Node, e.Kind, e.Addr, e.A, e.Note())
 }
 
 func runGoldenCell(t *testing.T, p Protocol, bench string, style workload.SyncStyle) goldenCell {

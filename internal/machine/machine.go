@@ -142,11 +142,9 @@ type Tile interface {
 	// CheckInvariants verifies the tile's cross-layer invariants; final
 	// adds the ones that hold only after the machine quiesced.
 	CheckInvariants(final bool) error
-	// SetObserver installs the tracing hook and SetCyclesObserver the
-	// cycle-accounting hook (nil disables either). Both are
+	// SetObserver installs the tile's event hook (nil disables). It is
 	// observational only.
-	SetObserver(mem.Observer)
-	SetCyclesObserver(cycles.Hook)
+	SetObserver(trace.Hook)
 }
 
 // Machine is a runnable simulated CMP.
@@ -162,14 +160,16 @@ type Machine struct {
 	// "vips").
 	tileKind string
 
-	// sinks receives the machine's trace-event stream; the component
-	// observers are installed once and fan out to every attached sink.
-	//cbvet:ephemeral observational trace fan-out; simulated behaviour is byte-identical with or without it
-	sinks trace.Multi
+	// subs are the subscribers to the machine's event stream. Every
+	// component's hook is the machine's emit, installed with the first
+	// subscriber and removed with the last.
+	//cbvet:ephemeral observational event fan-out; simulated behaviour is byte-identical with or without it
+	subs []subscriber
 
 	// cyc is the cycle-accounting accumulator, nil unless AttachCycles
-	// was called. Like sinks it is observational only: the machine's
-	// simulated behaviour is byte-identical with or without it.
+	// was called; it is also one of subs. Like every subscriber it is
+	// observational only.
+	//cbvet:ephemeral observational accumulator; simulated behaviour is byte-identical with or without it
 	cyc *cycles.Accumulator
 
 	// chaos is the fault-injection engine shared by the mesh and banks
@@ -230,7 +230,6 @@ func New(cfg Config, classify func(memtypes.Addr) bool) *Machine {
 	}
 	m := &Machine{
 		K:        k,
-		Mesh:     noc.New(k, w, w),
 		Store:    mem.NewStore(),
 		cfg:      cfg,
 		watchdog: cfg.Watchdog,
@@ -238,11 +237,8 @@ func New(cfg Config, classify func(memtypes.Addr) bool) *Machine {
 	if cfg.Chaos.Active() {
 		m.chaos = chaos.NewEngine(*cfg.Chaos, cfg.ChaosSeed)
 		m.checkInv = true
-		m.Mesh.SetChaos(m.chaos)
 	}
-	if cfg.IdealNoC {
-		m.Mesh.SetIdeal(true)
-	}
+	m.Mesh = noc.New(k, w, w, m.chaos, cfg.IdealNoC)
 	bankOf := func(a memtypes.Addr) memtypes.NodeID {
 		return memtypes.NodeID(uint64(a.Line()) / memtypes.LineBytes % uint64(cfg.Cores))
 	}
@@ -285,76 +281,84 @@ func New(cfg Config, classify func(memtypes.Addr) bool) *Machine {
 // Config returns the machine's configuration.
 func (m *Machine) Config() Config { return m.cfg }
 
-// AttachTrace streams the machine's events into sink: network
+// subscriber is one consumer of the machine's event stream. Trace sinks
+// see only the traced kinds; the cycle accumulator (all) sees every
+// event.
+type subscriber struct {
+	sink trace.Sink
+	all  bool
+}
+
+// emit is the hook every component calls: it fans the event out to the
+// subscribers.
+func (m *Machine) emit(e trace.Event) {
+	traced := e.Kind.Traced()
+	for _, s := range m.subs {
+		if traced || s.all {
+			s.sink.Emit(e)
+		}
+	}
+}
+
+// subscribe replaces the subscriber list. Components get the emit hook
+// when the list becomes non-empty and lose it when it empties, so an
+// unobserved machine pays only nil checks.
+func (m *Machine) subscribe(subs []subscriber) {
+	was, on := len(m.subs) > 0, len(subs) > 0
+	m.subs = subs
+	if was == on {
+		return
+	}
+	observed := []interface{ SetObserver(trace.Hook) }{m.Mesh}
+	for _, c := range m.Cores {
+		observed = append(observed, c)
+	}
+	for _, t := range m.tiles {
+		observed = append(observed, t)
+	}
+	for _, o := range observed {
+		if on {
+			o.SetObserver(m.emit)
+		} else {
+			o.SetObserver(nil)
+		}
+	}
+}
+
+// AttachTrace streams the machine's traced events into sink: network
 // send/deliver, callback-directory activity, core sync phases and spin
 // waits, and monitor arm/wake. It may be called several times — each
 // sink sees the full stream (e.g. a ring buffer for debugging plus a
 // Chrome trace writer plus a metrics collector).
 func (m *Machine) AttachTrace(sink trace.Sink) {
-	m.sinks = append(m.sinks, sink)
-	if len(m.sinks) > 1 {
-		return // observers already installed; they fan out via m.sinks
-	}
-	m.Mesh.SetObserver(func(cycle uint64, msg *memtypes.Message, what string) {
-		node := msg.Src
-		if what == "deliver" {
-			node = msg.Dst
-		}
-		m.sinks.Emit(trace.Event{
-			Cycle: cycle, Node: node, What: what, Addr: msg.Addr,
-			// Pack the route so consumers can pair send/deliver without
-			// parsing the note (X-Y routing is FIFO per route).
-			Arg:  uint64(msg.Src)<<32 | uint64(msg.Dst),
-			Note: fmt.Sprintf("kind=%#x %s %d->%d", uint16(msg.Kind), msg.Class, msg.Src, msg.Dst),
-		})
-	})
-	for _, t := range m.tiles {
-		t.SetObserver(func(cycle uint64, node memtypes.NodeID, addr memtypes.Addr, what string, arg uint64) {
-			m.sinks.Emit(trace.Event{Cycle: cycle, Node: node, What: what, Addr: addr, Arg: arg})
-		})
-	}
-	for _, c := range m.Cores {
-		id := c.ID()
-		c.SetObserver(func(cycle uint64, what, note string, arg uint64) {
-			m.sinks.Emit(trace.Event{Cycle: cycle, Node: id, What: what, Note: note, Arg: arg})
-		})
-	}
+	m.subscribe(append(m.subs, subscriber{sink: sink}))
 }
 
-// AttachCycles installs a cycle-accounting accumulator: every component
-// that contributes stall attribution (cores, L1s, directory/banks, mesh)
-// gets the accumulator's Observe hook. Observational only — the purity
-// contract of AttachTrace applies identically. At most one accumulator
-// is active; attaching nil detaches.
+// AttachCycles subscribes a cycle-accounting accumulator to every event,
+// replacing any previous one; nil detaches. Observational only — the
+// purity contract of AttachTrace applies identically.
 func (m *Machine) AttachCycles(a *cycles.Accumulator) {
-	m.cyc = a
-	var hook cycles.Hook
+	var subs []subscriber
+	for _, s := range m.subs {
+		if !s.all {
+			subs = append(subs, s)
+		}
+	}
 	if a != nil {
-		hook = a.Observe
+		subs = append(subs, subscriber{sink: a, all: true})
 	}
-	m.Mesh.SetCyclesObserver(hook)
-	for _, c := range m.Cores {
-		c.SetCyclesObserver(hook)
-	}
-	for _, t := range m.tiles {
-		t.SetCyclesObserver(hook)
-	}
+	m.cyc = a
+	m.subscribe(subs)
 }
 
-// DetachTrace drops every trace sink and uninstalls the component
-// observers and the cycle accumulator, so the machine pays no observer
-// overhead and never emits into a stale sink: replay detaches at each
-// window's end, and Restore detaches for a pooled machine's next run.
+// DetachTrace drops every subscriber, trace sinks and the cycle
+// accumulator alike, and uninstalls the component hooks, so the machine
+// pays no observer overhead and never emits into a stale sink: replay
+// detaches at each window's end, and Restore detaches for a pooled
+// machine's next run.
 func (m *Machine) DetachTrace() {
-	m.sinks = nil
-	m.Mesh.SetObserver(nil)
-	for _, t := range m.tiles {
-		t.SetObserver(nil)
-	}
-	for _, c := range m.Cores {
-		c.SetObserver(nil)
-	}
-	m.AttachCycles(nil)
+	m.cyc = nil
+	m.subscribe(nil)
 }
 
 // cycleHorizon is the horizon cycle stacks are charged to: the cycle the

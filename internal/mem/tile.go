@@ -1,9 +1,6 @@
 package mem
 
-import (
-	"repro/internal/isa"
-	"repro/internal/memtypes"
-)
+import "repro/internal/isa"
 
 // TileStats is one tile's counters: its L1's, its LLC bank's, and its
 // protocol extensions' (zero where the protocol lacks the mechanism).
@@ -63,8 +60,3 @@ func (b *Bank) TileStats() TileStats {
 	copy(s.LLCSyncByKind[:], b.stats.SyncByKind[:])
 	return s
 }
-
-// Observer is a tile's tracing hook: node is the core (or bank) the
-// event concerns, what names it ("cb.block", "mon.arm", ...), and arg
-// carries an event-specific number.
-type Observer func(cycle uint64, node memtypes.NodeID, addr memtypes.Addr, what string, arg uint64)

@@ -10,6 +10,7 @@ import (
 	"repro/internal/memtypes"
 	"repro/internal/noc"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // DirStats counts directory activity.
@@ -67,9 +68,9 @@ type Dir struct {
 	//cbvet:ephemeral wiring pointer installed at construction; the engine's RNG state is snapshotted by the machine
 	chaos *chaos.Engine
 
-	// cyc, when set, receives cycle-accounting segments for requester
-	// cores' in-flight misses (observational only).
-	cyc cycles.Hook
+	// obs, when set, receives the stall legs of requester cores'
+	// in-flight misses (observational only).
+	obs trace.Hook
 
 	stats DirStats
 }
@@ -188,12 +189,12 @@ func (d *Dir) end(addr memtypes.Addr) {
 // opens a coherence leg covering the wait behind the in-flight
 // transaction.
 func (d *Dir) cycArrive(msg *memtypes.Message) {
-	if d.cyc == nil {
+	if d.obs == nil {
 		return
 	}
-	d.cyc(int(msg.Core), cycles.EvClose, d.k.Now(), 0, 0)
+	cycles.Close(d.obs, d.k.Now(), msg.Core)
 	if d.busy[msg.Addr.Line()] != nil {
-		d.cyc(int(msg.Core), cycles.EvOpen, d.k.Now(), uint64(cycles.CatCoherenceStall), 0)
+		cycles.Open(d.obs, d.k.Now(), msg.Core, cycles.CatCoherenceStall)
 	}
 }
 
@@ -221,10 +222,7 @@ func (d *Dir) Deliver(msg *memtypes.Message) {
 //cbsim:hotpath
 func (d *Dir) grant(msg *memtypes.Message, kind memtypes.MsgKind) {
 	lat := d.accessLat(msg.Addr, true, msg.Req.SyncPhase())
-	if d.cyc != nil {
-		d.cyc(int(msg.Core), cycles.EvSpan, d.k.Now(), d.k.Now()+lat,
-			uint64(cycles.CatLLCStall))
-	}
+	cycles.Span(d.obs, d.k.Now(), d.k.Now()+lat, msg.Core, cycles.CatLLCStall)
 	d.k.ScheduleActor(lat, d, msg, uint64(kind))
 }
 
@@ -243,9 +241,7 @@ func (d *Dir) Act(data any, kind uint64) {
 		LineData: d.store.LoadLine(msg.Addr), Seq: msg.Seq,
 	}
 	d.mesh.Send(resp)
-	if d.cyc != nil {
-		d.cyc(int(resp.Core), cycles.EvOpen, d.k.Now(), uint64(cycles.CatNoC), 0)
-	}
+	cycles.Open(d.obs, d.k.Now(), resp.Core, cycles.CatNoC)
 	d.end(msg.Addr)
 	d.mesh.Free(msg)
 }
@@ -256,9 +252,7 @@ func (d *Dir) Act(data any, kind uint64) {
 func (d *Dir) resume(t *trans) {
 	msg := t.msg
 	t.msg = nil
-	if d.cyc != nil {
-		d.cyc(int(msg.Core), cycles.EvClose, d.k.Now(), 0, 0)
-	}
+	cycles.Close(d.obs, d.k.Now(), msg.Core)
 	l := d.line(msg.Addr)
 	if t.grant == MsgDataS {
 		l.owner = -1
@@ -272,9 +266,8 @@ func (d *Dir) resume(t *trans) {
 
 func (d *Dir) handleGetS(msg *memtypes.Message) {
 	d.stats.GetS++
-	if d.cyc != nil { // ends the deferral leg of a replayed request
-		d.cyc(int(msg.Core), cycles.EvClose, d.k.Now(), 0, 0)
-	}
+	// End the deferral leg of a replayed request.
+	cycles.Close(d.obs, d.k.Now(), msg.Core)
 	l := d.line(msg.Addr)
 	r := int(msg.Src)
 	if l.owner >= 0 {
@@ -288,9 +281,8 @@ func (d *Dir) handleGetS(msg *memtypes.Message) {
 			Class: memtypes.ClassControl, Addr: msg.Addr, Core: msg.Core,
 		}
 		d.mesh.Send(fwd)
-		if d.cyc != nil { // the owner round trip is coherence work
-			d.cyc(int(msg.Core), cycles.EvOpen, d.k.Now(), uint64(cycles.CatCoherenceStall), 0)
-		}
+		// The owner round trip is coherence work.
+		cycles.Open(d.obs, d.k.Now(), msg.Core, cycles.CatCoherenceStall)
 		t.msg, t.grant, t.owner = msg, MsgDataS, owner
 		return
 	}
@@ -308,9 +300,8 @@ func (d *Dir) handleGetS(msg *memtypes.Message) {
 
 func (d *Dir) handleGetX(msg *memtypes.Message) {
 	d.stats.GetX++
-	if d.cyc != nil { // ends the deferral leg of a replayed request
-		d.cyc(int(msg.Core), cycles.EvClose, d.k.Now(), 0, 0)
-	}
+	// End the deferral leg of a replayed request.
+	cycles.Close(d.obs, d.k.Now(), msg.Core)
 	l := d.line(msg.Addr)
 	r := int(msg.Src)
 	if l.owner >= 0 && l.owner != r {
@@ -323,9 +314,8 @@ func (d *Dir) handleGetX(msg *memtypes.Message) {
 			Class: memtypes.ClassControl, Addr: msg.Addr, Core: msg.Core,
 		}
 		d.mesh.Send(fwd)
-		if d.cyc != nil { // the owner round trip is coherence work
-			d.cyc(int(msg.Core), cycles.EvOpen, d.k.Now(), uint64(cycles.CatCoherenceStall), 0)
-		}
+		// The owner round trip is coherence work.
+		cycles.Open(d.obs, d.k.Now(), msg.Core, cycles.CatCoherenceStall)
 		t.msg, t.grant = msg, MsgDataX
 		return
 	}
@@ -353,9 +343,8 @@ func (d *Dir) handleGetX(msg *memtypes.Message) {
 			}
 			toInv >>= 1
 		}
-		if d.cyc != nil { // the invalidation round is coherence work
-			d.cyc(int(msg.Core), cycles.EvOpen, d.k.Now(), uint64(cycles.CatCoherenceStall), 0)
-		}
+		// The invalidation round is coherence work.
+		cycles.Open(d.obs, d.k.Now(), msg.Core, cycles.CatCoherenceStall)
 		t.msg, t.grant = msg, MsgDataX
 		return
 	}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/memtypes"
 	"repro/internal/noc"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // State is an L1 MESI line state. Invalid lines are simply absent from
@@ -89,13 +90,9 @@ type L1 struct {
 	monitor        monitorState
 	monStats       MonitorStats
 
-	// monObserver, when set, receives "mon.arm" and "mon.wake" monitor
-	// events (tracing).
-	monObserver mem.Observer
-
-	// cyc, when set, receives cycle-accounting segments for the core's
-	// in-flight miss (observational only).
-	cyc cycles.Hook
+	// obs, when set, receives monitor arm/wake events and the stall
+	// legs of the core's in-flight miss (observational only).
+	obs trace.Hook
 
 	stats L1Stats
 }
@@ -148,10 +145,7 @@ func (l *L1) Access(req *memtypes.Request, done memtypes.Completer) {
 	kind := mapKind(req.Kind)
 	if kind.IsFence() {
 		// MESI needs no self-invalidation or self-downgrade.
-		if l.cyc != nil {
-			l.cyc(int(l.id), cycles.EvSpan, l.k.Now(),
-				l.k.Now()+mem.DefaultL1Latency, uint64(cycles.CatL1Stall))
-		}
+		cycles.Span(l.obs, l.k.Now(), l.k.Now()+mem.DefaultL1Latency, l.id, cycles.CatL1Stall)
 		l.respond(mem.DefaultL1Latency, done, memtypes.Response{})
 		return
 	}
@@ -222,9 +216,7 @@ func (l *L1) request(kind memtypes.MsgKind, req *memtypes.Request) {
 		Core: l.id, Req: req, Seq: req.Seq,
 	}
 	l.mesh.Send(msg)
-	if l.cyc != nil {
-		l.cyc(int(l.id), cycles.EvOpen, l.k.Now(), uint64(cycles.CatNoC), 0)
-	}
+	cycles.Open(l.obs, l.k.Now(), l.id, cycles.CatNoC)
 }
 
 // finish applies the pending operation to a resident line with the
@@ -237,10 +229,7 @@ func (l *L1) finish(line *cache.Line[l1Line], delay uint64, hit bool) {
 	req := p.req
 	w := req.Addr.WordIndex()
 	resp := memtypes.Response{Hit: hit}
-	if l.cyc != nil {
-		l.cyc(int(l.id), cycles.EvSpan, l.k.Now(), l.k.Now()+delay,
-			uint64(cycles.CatL1Stall))
-	}
+	cycles.Span(l.obs, l.k.Now(), l.k.Now()+delay, l.id, cycles.CatL1Stall)
 	switch mapKind(req.Kind) {
 	case memtypes.OpRead:
 		resp.Value = line.Data[w]
@@ -267,9 +256,7 @@ func (l *L1) handleData(msg *memtypes.Message) {
 	if p := l.pending.req; p == nil || p.Addr.Line() != msg.Addr || p.Seq != msg.Seq {
 		panic(fmt.Sprintf("mesi: core %d unexpected data for %s (op %d)", l.id, msg.Addr, msg.Seq))
 	}
-	if l.cyc != nil {
-		l.cyc(int(l.id), cycles.EvClose, l.k.Now(), 0, 0)
-	}
+	cycles.Close(l.obs, l.k.Now(), l.id)
 	line := l.arr.Peek(msg.Addr)
 	if line == nil {
 		l.evictFor(msg.Addr)

@@ -19,11 +19,11 @@ package mesi
 
 import (
 	"repro/internal/chaos"
-	"repro/internal/cycles"
 	"repro/internal/mem"
 	"repro/internal/memtypes"
 	"repro/internal/noc"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // Message kinds.
@@ -89,13 +89,9 @@ func (t *Tile) Deliver(msg *memtypes.Message) {
 // Port returns the L1, the port the node's core issues into.
 func (t *Tile) Port() memtypes.Port { return t.L1 }
 
-// SetObserver installs the tracing hook for monitor arm/wake events (nil
-// disables).
-func (t *Tile) SetObserver(fn mem.Observer) { t.L1.monObserver = fn }
-
-// SetCyclesObserver installs the cycle-accounting hook on both
-// controllers (nil disables).
-func (t *Tile) SetCyclesObserver(fn cycles.Hook) { t.L1.cyc, t.Dir.cyc = fn, fn }
+// SetObserver installs the event hook on both controllers (nil
+// disables): monitor arm/wake and the stall legs of in-flight misses.
+func (t *Tile) SetObserver(fn trace.Hook) { t.L1.obs, t.Dir.obs = fn, fn }
 
 // Stats returns the tile's counters.
 func (t *Tile) Stats() mem.TileStats {

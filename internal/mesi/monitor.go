@@ -3,9 +3,9 @@ package mesi
 import (
 	"fmt"
 
-	"repro/internal/cycles"
 	"repro/internal/mem"
 	"repro/internal/memtypes"
+	"repro/internal/trace"
 )
 
 // This file implements the quiesce/monitor extension discussed in the
@@ -41,12 +41,6 @@ type monitorState struct {
 	done memtypes.Completer
 }
 
-func (l *L1) monObserve(addr memtypes.Addr, what string) {
-	if l.monObserver != nil {
-		l.monObserver(l.k.Now(), l.id, addr, what, 0)
-	}
-}
-
 // accessMonitored serves an OpReadCB under the monitor model: load the
 // line (normal MESI fill if needed), return the value — but if the line
 // is already resident and thus cannot have changed since the caller's
@@ -74,10 +68,10 @@ func (l *L1) accessMonitored(req *memtypes.Request, done memtypes.Completer) {
 	// invalidated (the writer's GetX), then re-read.
 	l.stats.Hits++
 	l.monStats.Arms++
-	l.monObserve(req.Addr.Line(), "mon.arm")
-	if l.cyc != nil {
-		// The halted core is blocked exactly like a parked callback.
-		l.cyc(int(l.id), cycles.EvOpen, l.k.Now(), uint64(cycles.CatCBBlocked), 0)
+	if l.obs != nil {
+		// mon.arm also opens the core's blocked leg: the halted core is
+		// blocked exactly like a parked callback.
+		l.obs(trace.Event{Kind: trace.KindMonArm, Cycle: l.k.Now(), Node: l.id, Addr: req.Addr.Line()})
 	}
 	l.monitor = monitorState{armed: true, addr: req.Addr.Line(), req: req, done: done}
 }
@@ -101,9 +95,8 @@ func (l *L1) monitorInvalidated(addr memtypes.Addr) {
 		return
 	}
 	l.monitor.armed = false
-	l.monObserve(addr.Line(), "mon.wake")
-	if l.cyc != nil {
-		l.cyc(int(l.id), cycles.EvClose, l.k.Now(), 0, 0)
+	if l.obs != nil {
+		l.obs(trace.Event{Kind: trace.KindMonWake, Cycle: l.k.Now(), Node: l.id, Addr: addr.Line()})
 	}
 	// The wakeup costs one cycle of monitor logic before the reload.
 	l.k.ScheduleActor(mem.DefaultL1Latency, l, nil, evResume)

@@ -13,9 +13,9 @@ import (
 	"fmt"
 
 	"repro/internal/chaos"
-	"repro/internal/cycles"
 	"repro/internal/memtypes"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // Default timing parameters (Table 2).
@@ -75,14 +75,9 @@ type Mesh struct {
 	// performs no heap allocations.
 	pool memtypes.MsgPool
 
-	// observer, when set, is called on every injection and delivery
-	// (tracing).
-	observer func(cycle uint64, msg *memtypes.Message, what string)
-
-	// cyc, when set, receives injection/delivery events keyed by the
-	// message's core tag for the cycle-accounting aggregate
-	// messages-in-flight counter (observational only).
-	cyc cycles.Hook
+	// obs, when set, receives a send event at every injection and a
+	// deliver event at every arrival (observational only).
+	obs trace.Hook
 
 	// ideal disables link contention and serialization: messages
 	// arrive after pure distance latency (ablation mode).
@@ -116,35 +111,30 @@ type Mesh struct {
 }
 
 // New builds a width x height mesh on kernel k with default latencies.
-func New(k *sim.Kernel, width, height int) *Mesh {
+// e, when non-nil, injects faults: messages may be held back at their
+// source (opening reordering windows across routes) and every hop may
+// pick up jitter, while each link stays FIFO. ideal selects
+// contentionless mode: no link serialization or queueing, pure hops x
+// switch latency, with traffic still accounted in flit-hops (used to
+// check that conclusions are not artifacts of the contention model).
+func New(k *sim.Kernel, width, height int, e *chaos.Engine, ideal bool) *Mesh {
 	if width <= 0 || height <= 0 {
 		panic("noc: mesh dimensions must be positive")
 	}
-	return &Mesh{
+	m := &Mesh{
 		k:        k,
 		width:    width,
 		height:   height,
 		handlers: make([]Handler, width*height),
 		linkFree: make([][numDirs]uint64, width*height),
 		linkBusy: make([][numDirs]uint64, width*height),
+		ideal:    ideal,
+		chaos:    e,
 	}
-}
-
-// SetIdeal toggles contentionless mode: no link serialization or
-// queueing, pure hops x switch latency. Traffic is still accounted in
-// flit-hops. Used to check that conclusions are not artifacts of the
-// contention model.
-func (m *Mesh) SetIdeal(v bool) { m.ideal = v }
-
-// SetChaos installs a fault-injection engine: messages may be held back
-// at their source (opening reordering windows across routes) and every
-// hop may pick up jitter, while each link stays FIFO. nil disables
-// injection.
-func (m *Mesh) SetChaos(e *chaos.Engine) {
-	m.chaos = e
-	if e != nil && m.chaosFloor == nil {
-		m.chaosFloor = make([][numDirs + 2]uint64, m.width*m.height)
+	if e != nil {
+		m.chaosFloor = make([][numDirs + 2]uint64, width*height)
 	}
+	return m
 }
 
 // Virtual chaosFloor slots beyond the four link directions.
@@ -179,16 +169,10 @@ func (m *Mesh) Attach(n memtypes.NodeID, h Handler) {
 // Stats returns a copy of the accumulated traffic counters.
 func (m *Mesh) Stats() Stats { return m.stats }
 
-// SetObserver installs a hook called with "send" at injection and
-// "deliver" at arrival of every message (nil disables tracing).
-func (m *Mesh) SetObserver(fn func(cycle uint64, msg *memtypes.Message, what string)) {
-	m.observer = fn
-}
-
-// SetCyclesObserver installs the cycle-accounting hook, fed
-// EvNoCSend/EvNoCDeliver per message keyed by the message's core tag
-// (nil disables).
-func (m *Mesh) SetCyclesObserver(fn cycles.Hook) { m.cyc = fn }
+// SetObserver installs the hook that receives a send event at the
+// injection and a deliver event at the arrival of every message (nil
+// disables).
+func (m *Mesh) SetObserver(fn trace.Hook) { m.obs = fn }
 
 // ResetStats zeroes the traffic counters (used to scope measurement to a
 // parallel section).
@@ -281,11 +265,8 @@ func (m *Mesh) HopCount(src, dst memtypes.NodeID) int {
 func (m *Mesh) Send(msg *memtypes.Message) {
 	m.check(msg.Src)
 	m.check(msg.Dst)
-	if m.observer != nil {
-		m.observer(m.k.Now(), msg, "send")
-	}
-	if m.cyc != nil {
-		m.cyc(int(msg.Core), cycles.EvNoCSend, m.k.Now(), 0, 0)
+	if m.obs != nil {
+		m.obs(trace.Message(trace.KindSend, m.k.Now(), msg.Src, msg))
 	}
 	// Chaos holds the message at its source for delay extra cycles:
 	// the mesh itself is the actor, so the held message re-enters the
@@ -386,11 +367,8 @@ func (m *Mesh) hop(msg *memtypes.Message, at memtypes.NodeID) {
 
 //cbsim:hotpath
 func (m *Mesh) deliver(msg *memtypes.Message) {
-	if m.observer != nil {
-		m.observer(m.k.Now(), msg, "deliver")
-	}
-	if m.cyc != nil {
-		m.cyc(int(msg.Core), cycles.EvNoCDeliver, m.k.Now(), 0, 0)
+	if m.obs != nil {
+		m.obs(trace.Message(trace.KindDeliver, m.k.Now(), msg.Dst, msg))
 	}
 	h := m.handlers[msg.Dst]
 	if h == nil {

@@ -12,7 +12,7 @@ import (
 
 func TestDebugDoubleFreePanics(t *testing.T) {
 	k := sim.New()
-	m := New(k, 2, 2)
+	m := New(k, 2, 2, nil, false)
 	msg := m.NewMessage()
 	m.Free(msg)
 	defer func() {
@@ -30,7 +30,7 @@ func TestDebugDoubleFreePanics(t *testing.T) {
 
 func TestDebugFreePoisonsMessage(t *testing.T) {
 	k := sim.New()
-	m := New(k, 2, 2)
+	m := New(k, 2, 2, nil, false)
 	msg := m.NewMessage()
 	msg.Kind = memtypes.KindMESIBase
 	msg.Value = 7
@@ -42,7 +42,7 @@ func TestDebugFreePoisonsMessage(t *testing.T) {
 
 func TestDebugReuseReturnsZeroedMessage(t *testing.T) {
 	k := sim.New()
-	m := New(k, 2, 2)
+	m := New(k, 2, 2, nil, false)
 	msg := m.NewMessage()
 	m.Free(msg)
 	got := m.NewMessage()

@@ -12,7 +12,7 @@ import (
 func newTestMesh(t *testing.T, w, h int) (*sim.Kernel, *Mesh, *[]*memtypes.Message) {
 	t.Helper()
 	k := sim.New()
-	m := New(k, w, h)
+	m := New(k, w, h, nil, false)
 	var got []*memtypes.Message
 	for n := 0; n < m.Nodes(); n++ {
 		m.Attach(memtypes.NodeID(n), HandlerFunc(func(msg *memtypes.Message) {
@@ -24,7 +24,7 @@ func newTestMesh(t *testing.T, w, h int) (*sim.Kernel, *Mesh, *[]*memtypes.Messa
 
 func TestHopCount(t *testing.T) {
 	k := sim.New()
-	m := New(k, 8, 8)
+	m := New(k, 8, 8, nil, false)
 	cases := []struct {
 		src, dst memtypes.NodeID
 		hops     int
@@ -166,7 +166,7 @@ func TestPropertyRouteLength(t *testing.T) {
 			return true
 		}
 		k := sim.New()
-		m := New(k, 8, 8)
+		m := New(k, 8, 8, nil, false)
 		var arrival uint64
 		for n := 0; n < 64; n++ {
 			m.Attach(memtypes.NodeID(n), HandlerFunc(func(msg *memtypes.Message) { arrival = k.Now() }))
@@ -188,7 +188,7 @@ func TestPropertyRouteLength(t *testing.T) {
 
 func TestAttachMissingHandlerPanics(t *testing.T) {
 	k := sim.New()
-	m := New(k, 2, 2)
+	m := New(k, 2, 2, nil, false)
 	m.Send(&memtypes.Message{Src: 0, Dst: 3, Class: memtypes.ClassControl})
 	defer func() {
 		if recover() == nil {
@@ -214,8 +214,8 @@ func TestResetStats(t *testing.T) {
 }
 
 func TestIdealModeSkipsContention(t *testing.T) {
-	k, m, _ := newTestMesh(t, 4, 1)
-	m.SetIdeal(true)
+	k := sim.New()
+	m := New(k, 4, 1, nil, true)
 	var t1, t2 uint64
 	m.Attach(1, HandlerFunc(func(msg *memtypes.Message) {
 		if t1 == 0 {

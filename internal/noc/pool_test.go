@@ -5,7 +5,9 @@ import (
 
 	"repro/internal/cycles"
 	"repro/internal/memtypes"
+	"repro/internal/obs"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 func TestMsgPoolRecycles(t *testing.T) {
@@ -30,7 +32,7 @@ func TestMsgPoolRecycles(t *testing.T) {
 // and the message itself is recycled by the consuming handler.
 func TestPooledSendZeroAllocs(t *testing.T) {
 	k := sim.New()
-	m := New(k, 4, 4)
+	m := New(k, 4, 4, nil, false)
 	for n := 0; n < m.Nodes(); n++ {
 		m.Attach(memtypes.NodeID(n), HandlerFunc(func(msg *memtypes.Message) {
 			m.Free(msg)
@@ -52,15 +54,16 @@ func TestPooledSendZeroAllocs(t *testing.T) {
 	}
 }
 
-// The cycle-accounting hook must not break the zero-alloc hot path: a
-// pooled message travelling the mesh with an accounting observer
-// attached still costs zero heap allocations per hop in steady state
-// (the hook is a func field called with scalar args — no boxing).
+// The observer hook must not break the zero-alloc hot path: a pooled
+// message travelling the mesh with a cycle accumulator and a metrics
+// collector subscribed still costs zero heap allocations per hop in
+// steady state (the hook is a func field taking a value event — no
+// boxing, no formatting).
 func TestPooledSendZeroAllocsWithCyclesObserver(t *testing.T) {
 	k := sim.New()
-	m := New(k, 4, 4)
-	a := cycles.NewAccumulator(16)
-	m.SetCyclesObserver(a.Observe)
+	m := New(k, 4, 4, nil, false)
+	sinks := trace.Multi{cycles.NewAccumulator(16), trace.NewMetricsCollector(obs.NewSimMetrics(obs.NewRegistry()))}
+	m.SetObserver(sinks.Emit)
 	for n := 0; n < m.Nodes(); n++ {
 		m.Attach(memtypes.NodeID(n), HandlerFunc(func(msg *memtypes.Message) {
 			m.Free(msg)

@@ -283,9 +283,9 @@ func firstEventDiff(a, b []trace.Event) (string, string) {
 }
 
 func formatEvent(e trace.Event) string {
-	s := fmt.Sprintf("cycle %d node %d %s addr %#x arg %d", e.Cycle, e.Node, e.What, uint64(e.Addr), e.Arg)
-	if e.Note != "" {
-		s += " (" + e.Note + ")"
+	s := fmt.Sprintf("cycle %d node %d %s addr %#x arg %d", e.Cycle, e.Node, e.Kind, uint64(e.Addr), e.A)
+	if note := e.Note(); note != "" {
+		s += " (" + note + ")"
 	}
 	return s
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 	"sort"
 
+	"repro/internal/isa"
 	"repro/internal/memtypes"
 )
 
@@ -136,27 +137,28 @@ func (c *ChromeWriter) Emit(e Event) {
 	if e.Cycle > c.lastCycle {
 		c.lastCycle = e.Cycle
 	}
-	switch e.What {
-	case "sync.begin":
+	switch e.Kind {
+	case KindSyncBegin:
 		pid := c.lane(e.Node, tidSync)
-		if e.Note == "release" && c.inCritical[pid] {
+		kind := isa.SyncKind(e.B)
+		if kind == isa.SyncRelease && c.inCritical[pid] {
 			// Leaving the critical section: close the synthesized slice
 			// before the release phase opens.
 			c.inCritical[pid] = false
 			c.popSync(pid, e.Cycle)
 		}
-		c.pushSync(pid, e.Note, e.Cycle)
-	case "sync.end":
+		c.pushSync(pid, kind.String(), e.Cycle)
+	case KindSyncEnd:
 		pid := c.lane(e.Node, tidSync)
 		c.popSync(pid, e.Cycle)
-		if e.Note == "acquire" {
+		if isa.SyncKind(e.B) == isa.SyncAcquire {
 			// Lock acquired: open the critical-section slice under it.
 			c.pushSync(pid, "critical", e.Cycle)
 			c.inCritical[pid] = true
 		}
-	case "spin.wait":
+	case KindSpinWait:
 		pid := c.lane(e.Node, tidSync)
-		dur := e.Arg
+		dur := e.A
 		if dur == 0 {
 			dur = 1
 		}
@@ -169,7 +171,7 @@ func (c *ChromeWriter) Emit(e Event) {
 			Pid: pid, Tid: tidSync,
 			Args: map[string]any{"addr": e.Addr.String()},
 		})
-	case "cb.block":
+	case KindCBBlock:
 		pid := c.lane(e.Node, tidCallback)
 		key := asyncKey{e.Node, e.Addr.Word()}
 		id := c.id()
@@ -179,7 +181,7 @@ func (c *ChromeWriter) Emit(e Event) {
 			Pid: pid, Tid: tidCallback, ID: id,
 			Args: map[string]any{"addr": e.Addr.String()},
 		})
-	case "cb.wake", "cb.stale":
+	case KindCBWake, KindCBStale:
 		pid := c.lane(e.Node, tidCallback)
 		key := asyncKey{e.Node, e.Addr.Word()}
 		if id, ok := c.openCB[key]; ok {
@@ -189,49 +191,49 @@ func (c *ChromeWriter) Emit(e Event) {
 				Pid: pid, Tid: tidCallback, ID: id,
 			})
 		}
-		if e.What == "cb.stale" {
+		if e.Kind == KindCBStale {
 			c.events = append(c.events, chromeEvent{
 				Name: "cb.stale", Cat: "cb", Ph: "i", Ts: e.Cycle,
 				Pid: pid, Tid: tidCallback, S: "t",
 			})
 		}
-	case "cb.occ":
+	case KindCBOcc:
 		pid := c.lane(e.Node, tidCallback)
 		c.events = append(c.events, chromeEvent{
 			Name: "cb.dir", Cat: "cb", Ph: "C", Ts: e.Cycle,
 			Pid: pid, Tid: tidCallback,
-			Args: map[string]any{"entries": e.Arg},
+			Args: map[string]any{"entries": e.A},
 		})
-	case "send":
+	case KindSend:
 		pid := c.lane(e.Node, tidNet)
 		id := c.id()
-		c.netFIFO[e.Arg] = append(c.netFIFO[e.Arg], id)
+		c.netFIFO[e.A] = append(c.netFIFO[e.A], id)
 		c.events = append(c.events, chromeEvent{
 			Name: "msg", Cat: "net", Ph: "b", Ts: e.Cycle,
 			Pid: pid, Tid: tidNet, ID: id,
-			Args: map[string]any{"route": e.Note, "addr": e.Addr.String()},
+			Args: map[string]any{"route": e.Note(), "addr": e.Addr.String()},
 		})
-	case "deliver":
+	case KindDeliver:
 		pid := c.lane(e.Node, tidNet)
-		if q := c.netFIFO[e.Arg]; len(q) > 0 {
+		if q := c.netFIFO[e.A]; len(q) > 0 {
 			id := q[0]
-			c.netFIFO[e.Arg] = q[1:]
+			c.netFIFO[e.A] = q[1:]
 			c.events = append(c.events, chromeEvent{
 				Name: "msg", Cat: "net", Ph: "e", Ts: e.Cycle,
 				Pid: pid, Tid: tidNet, ID: id,
 			})
 		}
-	case "mon.arm", "mon.wake":
+	case KindMonArm, KindMonWake:
 		pid := c.lane(e.Node, tidMonitor)
 		c.events = append(c.events, chromeEvent{
-			Name: e.What, Cat: "monitor", Ph: "i", Ts: e.Cycle,
+			Name: e.Kind.String(), Cat: "monitor", Ph: "i", Ts: e.Cycle,
 			Pid: pid, Tid: tidMonitor, S: "t",
 			Args: map[string]any{"addr": e.Addr.String()},
 		})
 	default:
 		pid := c.lane(e.Node, tidMisc)
 		c.events = append(c.events, chromeEvent{
-			Name: e.What, Ph: "i", Ts: e.Cycle,
+			Name: e.Kind.String(), Ph: "i", Ts: e.Cycle,
 			Pid: pid, Tid: tidMisc, S: "t",
 		})
 	}

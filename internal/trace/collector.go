@@ -29,23 +29,21 @@ func NewMetricsCollector(m *obs.SimMetrics) *MetricsCollector {
 
 // Emit implements Sink.
 func (c *MetricsCollector) Emit(e Event) {
-	switch e.What {
-	case "sync.end":
-		if kind, ok := isa.SyncKindFromName(e.Note); ok {
-			c.m.ObserveSync(kind, e.Arg)
-		}
-	case "spin.wait":
-		c.m.SpinWait.Observe(float64(e.Arg))
-	case "cb.block":
+	switch e.Kind {
+	case KindSyncEnd:
+		c.m.ObserveSync(isa.SyncKind(e.B), e.A)
+	case KindSpinWait:
+		c.m.SpinWait.Observe(float64(e.A))
+	case KindCBBlock:
 		c.blocked[asyncKey{e.Node, e.Addr.Word()}] = e.Cycle
-	case "cb.wake", "cb.stale":
+	case KindCBWake, KindCBStale:
 		key := asyncKey{e.Node, e.Addr.Word()}
 		if t0, ok := c.blocked[key]; ok {
 			delete(c.blocked, key)
 			c.m.CBWakeLatency.Observe(float64(e.Cycle - t0))
 		}
-	case "cb.occ":
-		c.m.CBOccupancy.Observe(float64(e.Arg))
+	case KindCBOcc:
+		c.m.CBOccupancy.Observe(float64(e.A))
 	}
 }
 

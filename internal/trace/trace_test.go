@@ -10,7 +10,7 @@ import (
 func TestRingKeepsMostRecent(t *testing.T) {
 	r := NewRing(3)
 	for i := 0; i < 5; i++ {
-		r.Emit(Event{Cycle: uint64(i), What: "send"})
+		r.Emit(Event{Cycle: uint64(i), Kind: KindSend})
 	}
 	evs := r.Events()
 	if len(evs) != 3 {
@@ -28,9 +28,9 @@ func TestRingFilter(t *testing.T) {
 	r := NewRing(8)
 	line := memtypes.Addr(0x1000)
 	r.FilterLine = &line
-	r.Emit(Event{Addr: 0x1008, What: "keep"}) // same line
-	r.Emit(Event{Addr: 0x2000, What: "drop"})
-	if r.Len() != 1 || r.Events()[0].What != "keep" {
+	r.Emit(Event{Addr: 0x1008, Kind: KindCBWake}) // same line
+	r.Emit(Event{Addr: 0x2000, Kind: KindCBBlock})
+	if r.Len() != 1 || r.Events()[0].Kind != KindCBWake {
 		t.Fatalf("filter broken: %v", r.Events())
 	}
 }
@@ -41,15 +41,15 @@ func TestRingFilterLineZero(t *testing.T) {
 	r := NewRing(8)
 	zero := memtypes.Addr(0)
 	r.FilterLine = &zero
-	r.Emit(Event{Addr: 0x08, What: "keep"}) // line 0
-	r.Emit(Event{Addr: 0x40, What: "drop"}) // line 1
-	if r.Len() != 1 || r.Events()[0].What != "keep" {
+	r.Emit(Event{Addr: 0x08, Kind: KindCBWake})  // line 0
+	r.Emit(Event{Addr: 0x40, Kind: KindCBBlock}) // line 1
+	if r.Len() != 1 || r.Events()[0].Kind != KindCBWake {
 		t.Fatalf("line-0 filter broken: %v", r.Events())
 	}
 	// And nil keeps everything, including addr 0.
 	r2 := NewRing(8)
-	r2.Emit(Event{Addr: 0, What: "a"})
-	r2.Emit(Event{Addr: 0x2000, What: "b"})
+	r2.Emit(Event{Addr: 0, Kind: KindCBWake})
+	r2.Emit(Event{Addr: 0x2000, Kind: KindCBBlock})
 	if r2.Len() != 2 {
 		t.Fatalf("nil filter dropped events: %v", r2.Events())
 	}
@@ -59,9 +59,9 @@ func TestWriterFilterLine(t *testing.T) {
 	var sb strings.Builder
 	line := memtypes.Addr(0x40)
 	w := &Writer{W: &sb, FilterLine: &line}
-	w.Emit(Event{Addr: 0x44, What: "keep"})
-	w.Emit(Event{Addr: 0x80, What: "drop"})
-	if !strings.Contains(sb.String(), "keep") || strings.Contains(sb.String(), "drop") {
+	w.Emit(Event{Addr: 0x44, Kind: KindCBWake})
+	w.Emit(Event{Addr: 0x80, Kind: KindCBBlock})
+	if !strings.Contains(sb.String(), "cb.wake") || strings.Contains(sb.String(), "cb.block") {
 		t.Fatalf("writer filter broken: %q", sb.String())
 	}
 }
@@ -69,7 +69,7 @@ func TestWriterFilterLine(t *testing.T) {
 func TestWriterStreams(t *testing.T) {
 	var sb strings.Builder
 	w := &Writer{W: &sb}
-	w.Emit(Event{Cycle: 7, Node: 3, What: "cb.wake", Addr: 0x40})
+	w.Emit(Event{Cycle: 7, Node: 3, Kind: KindCBWake, Addr: 0x40})
 	if !strings.Contains(sb.String(), "cb.wake") || !strings.Contains(sb.String(), "node  3") {
 		t.Fatalf("stream output: %q", sb.String())
 	}
@@ -77,14 +77,14 @@ func TestWriterStreams(t *testing.T) {
 
 func TestMultiFansOut(t *testing.T) {
 	a, b := NewRing(4), NewRing(4)
-	Multi{a, b}.Emit(Event{What: "x"})
+	Multi{a, b}.Emit(Event{Kind: KindSend})
 	if a.Len() != 1 || b.Len() != 1 {
 		t.Fatal("multi sink did not fan out")
 	}
 }
 
 func TestSummarize(t *testing.T) {
-	evs := []Event{{What: "send"}, {What: "send"}, {What: "deliver"}}
+	evs := []Event{{Kind: KindSend}, {Kind: KindSend}, {Kind: KindDeliver}}
 	s := Summarize(evs)
 	if !strings.Contains(s, "send=2") || !strings.Contains(s, "deliver=1") {
 		t.Fatalf("summary: %q", s)
@@ -93,7 +93,7 @@ func TestSummarize(t *testing.T) {
 
 func TestDump(t *testing.T) {
 	r := NewRing(2)
-	r.Emit(Event{What: "a", Addr: memtypes.Addr(0x40)})
+	r.Emit(Event{Kind: KindMonArm, Addr: memtypes.Addr(0x40)})
 	var sb strings.Builder
 	r.Dump(&sb)
 	if !strings.Contains(sb.String(), "0x40") {

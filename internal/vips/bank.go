@@ -10,6 +10,7 @@ import (
 	"repro/internal/memtypes"
 	"repro/internal/noc"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // BankCtrlStats counts LLC bank controller activity beyond the raw
@@ -64,15 +65,11 @@ type Bank struct {
 	// directory, keyed by word address then core.
 	parked map[memtypes.Addr]map[memtypes.NodeID]*memtypes.Message
 
-	// observer, when set, is called on callback-directory activity
-	// (tracing): "cb.block", "cb.wake", "cb.stale" (core = the waiting
-	// core), and "cb.occ" (core = this bank, arg = live entries after a
-	// consultation).
-	observer mem.Observer
-
-	// cyc, when set, receives cycle-accounting segments for requester
-	// cores' in-flight racy operations (observational only).
-	cyc cycles.Hook
+	// obs, when set, receives callback-directory activity (cb.block,
+	// cb.wake and cb.stale for the waiting core, cb.occ for this bank)
+	// and the stall legs of requester cores' in-flight racy operations
+	// (observational only).
+	obs trace.Hook
 
 	stats BankCtrlStats
 }
@@ -104,25 +101,19 @@ func newBank(k *sim.Kernel, id memtypes.NodeID, mesh *noc.Mesh, store *mem.Store
 // Stats returns the controller counters.
 func (b *Bank) Stats() BankCtrlStats { return b.stats }
 
-// cycSpan books a closed cycle-accounting segment for core.
-func (b *Bank) cycSpan(core memtypes.NodeID, lat uint64, cat cycles.Category) {
-	if b.cyc != nil {
-		b.cyc(int(core), cycles.EvSpan, b.k.Now(), b.k.Now()+lat, uint64(cat))
-	}
-}
-
-func (b *Bank) observe(core memtypes.NodeID, addr memtypes.Addr, what string) {
-	if b.observer != nil {
-		b.observer(b.k.Now(), core, addr, what, 0)
+// observe emits a callback event of kind for the waiting core on word w.
+func (b *Bank) observe(kind trace.Kind, core memtypes.NodeID, w memtypes.Addr) {
+	if b.obs != nil {
+		b.obs(trace.Event{Kind: kind, Cycle: b.k.Now(), Node: core, Addr: w})
 	}
 }
 
 // observeOcc samples the callback directory's occupancy after a
 // consultation (the cb.occ event feeding the occupancy histogram). The
-// Live scan only runs when a trace sink is attached.
+// Live scan only runs when an observer is installed.
 func (b *Bank) observeOcc(addr memtypes.Addr) {
-	if b.observer != nil && b.cbdir != nil {
-		b.observer(b.k.Now(), b.id, addr, "cb.occ", uint64(b.cbdir.Live()))
+	if b.obs != nil && b.cbdir != nil {
+		b.obs(trace.Event{Kind: trace.KindCBOcc, Cycle: b.k.Now(), Node: b.id, Addr: addr, A: uint64(b.cbdir.Live())})
 	}
 }
 
@@ -201,7 +192,7 @@ func (b *Bank) locked(msg *memtypes.Message) {
 //cbsim:hotpath
 func (b *Bank) access(msg *memtypes.Message, addr memtypes.Addr, ev uint64) {
 	lat := b.accessLat(addr, true, msg.Req.SyncPhase())
-	b.cycSpan(msg.Core, lat, cycles.CatLLCStall)
+	cycles.Span(b.obs, b.k.Now(), b.k.Now()+lat, msg.Core, cycles.CatLLCStall)
 	b.k.ScheduleActor(lat, b, msg, ev)
 }
 
@@ -229,9 +220,7 @@ func (b *Bank) Act(data any, ev uint64) {
 		}
 		b.mesh.Free(msg)
 		b.mesh.Send(fill)
-		if b.cyc != nil {
-			b.cyc(int(fill.Core), cycles.EvOpen, b.k.Now(), uint64(cycles.CatNoC), 0)
-		}
+		cycles.Open(b.obs, b.k.Now(), fill.Core, cycles.CatNoC)
 		b.release(line)
 	case evWTAck:
 		ack := b.mesh.NewMessage()
@@ -264,16 +253,13 @@ func (b *Bank) Act(data any, ev uint64) {
 func (b *Bank) Deliver(msg *memtypes.Message) {
 	switch msg.Kind {
 	case MsgGetLine:
-		if b.cyc != nil { // the demand request's NoC leg ends here
-			b.cyc(int(msg.Core), cycles.EvClose, b.k.Now(), 0, 0)
-		}
+		// The demand request's NoC leg ends here.
+		cycles.Close(b.obs, b.k.Now(), msg.Core)
 		b.withLine(msg)
 	case MsgWTLine:
 		b.withLine(msg) // background write-through: not a core stall leg
 	case MsgRacy:
-		if b.cyc != nil {
-			b.cyc(int(msg.Core), cycles.EvClose, b.k.Now(), 0, 0)
-		}
+		cycles.Close(b.obs, b.k.Now(), msg.Core)
 		b.handleRacy(msg)
 	default:
 		panic(fmt.Sprintf("vips: bank %d cannot handle %s", b.id, msg))
@@ -353,7 +339,7 @@ func (b *Bank) readThrough(msg *memtypes.Message) {
 // the line lock.
 func (b *Bank) callbackRead(msg *memtypes.Message) {
 	b.stats.CBDirAccesses++
-	b.cycSpan(msg.Core, b.cbdirLat, cycles.CatCoherenceStall)
+	cycles.Span(b.obs, b.k.Now(), b.k.Now()+b.cbdirLat, msg.Core, cycles.CatCoherenceStall)
 	b.k.ScheduleActor(b.cbdirLat, b, msg, evConsultCB)
 }
 
@@ -408,7 +394,7 @@ func (b *Bank) rmw(msg *memtypes.Message) {
 	req := msg.Req
 	if b.cbdir != nil && req.RMWLdCB {
 		b.stats.CBDirAccesses++
-		b.cycSpan(msg.Core, b.cbdirLat, cycles.CatCoherenceStall)
+		cycles.Span(b.obs, b.k.Now(), b.k.Now()+b.cbdirLat, msg.Core, cycles.CatCoherenceStall)
 		b.k.ScheduleActor(b.cbdirLat, b, msg, evConsultCB)
 		return
 	}
@@ -465,10 +451,7 @@ func (b *Bank) park(msg *memtypes.Message) {
 		panic(fmt.Sprintf("vips: bank %d core %d parked twice on %s", b.id, msg.Core, w))
 	}
 	m[msg.Core] = msg
-	b.observe(msg.Core, w, "cb.block")
-	if b.cyc != nil {
-		b.cyc(int(msg.Core), cycles.EvOpen, b.k.Now(), uint64(cycles.CatCBBlocked), 0)
-	}
+	b.observe(trace.KindCBBlock, msg.Core, w)
 }
 
 // wake services callbacks: parked plain reads are answered directly with
@@ -489,13 +472,10 @@ func (b *Bank) wake(cores []int, addr memtypes.Addr, value uint64, stale bool) {
 		delete(m, id)
 		if stale {
 			b.stats.StaleWakes++
-			b.observe(id, w, "cb.stale")
+			b.observe(trace.KindCBStale, id, w)
 		} else {
 			b.stats.Wakes++
-			b.observe(id, w, "cb.wake")
-		}
-		if b.cyc != nil { // the blocked episode ends at the wake
-			b.cyc(int(id), cycles.EvClose, b.k.Now(), 0, 0)
+			b.observe(trace.KindCBWake, id, w)
 		}
 		if parked.Req.Kind == memtypes.OpRMW {
 			b.withLine(parked) // re-enter execution under the line lock
@@ -528,9 +508,7 @@ func (b *Bank) respond(msg *memtypes.Message, value uint64, stale bool) {
 	}
 	b.mesh.Free(msg)
 	b.mesh.Send(resp)
-	if b.cyc != nil {
-		b.cyc(int(resp.Core), cycles.EvOpen, b.k.Now(), uint64(cycles.CatNoC), 0)
-	}
+	cycles.Open(b.obs, b.k.Now(), resp.Core, cycles.CatNoC)
 }
 
 // ack sends a store completion (control message) and recycles the
@@ -544,7 +522,5 @@ func (b *Bank) ack(msg *memtypes.Message) {
 	}
 	b.mesh.Free(msg)
 	b.mesh.Send(resp)
-	if b.cyc != nil {
-		b.cyc(int(resp.Core), cycles.EvOpen, b.k.Now(), uint64(cycles.CatNoC), 0)
-	}
+	cycles.Open(b.obs, b.k.Now(), resp.Core, cycles.CatNoC)
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/memtypes"
 	"repro/internal/noc"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // L1Stats counts L1 activity.
@@ -73,9 +74,9 @@ type L1 struct {
 	// guaranteeing release-to-acquire visibility.
 	wtOutstanding int
 
-	// cyc, when set, receives cycle-accounting segments for the core's
-	// in-flight operation (observational only).
-	cyc cycles.Hook
+	// obs, when set, receives the stall legs of the core's in-flight
+	// operation (observational only).
+	obs trace.Hook
 
 	stats L1Stats
 }
@@ -158,9 +159,7 @@ func (l *L1) accessDRF() {
 		Core: l.id, Req: req, Seq: req.Seq,
 	}
 	l.mesh.Send(msg)
-	if l.cyc != nil {
-		l.cyc(int(l.id), cycles.EvOpen, l.k.Now(), uint64(cycles.CatNoC), 0)
-	}
+	cycles.Open(l.obs, l.k.Now(), l.id, cycles.CatNoC)
 }
 
 // finishDRF applies the pending DRF op to a resident line and responds.
@@ -189,9 +188,7 @@ func (l *L1) handleDataLine(msg *memtypes.Message) {
 	if p := l.pending.req; p == nil || p.Addr.Line() != msg.Addr || p.Seq != msg.Seq {
 		panic(fmt.Sprintf("vips: core %d unexpected fill for %s (op %d)", l.id, msg.Addr, msg.Seq))
 	}
-	if l.cyc != nil {
-		l.cyc(int(l.id), cycles.EvClose, l.k.Now(), 0, 0)
-	}
+	cycles.Close(l.obs, l.k.Now(), l.id)
 	l.evictFor(msg.Addr)
 	line, ev := l.arr.Allocate(msg.Addr)
 	if ev != nil {
@@ -305,9 +302,7 @@ func (l *L1) issueRacy() {
 		Class: class, Addr: req.Addr, Core: l.id, Req: req, Seq: req.Seq,
 	}
 	l.mesh.Send(msg)
-	if l.cyc != nil {
-		l.cyc(int(l.id), cycles.EvOpen, l.k.Now(), uint64(cycles.CatNoC), 0)
-	}
+	cycles.Open(l.obs, l.k.Now(), l.id, cycles.CatNoC)
 }
 
 // handleRacyResp completes the outstanding racy operation. The response
@@ -321,9 +316,7 @@ func (l *L1) handleRacyResp(msg *memtypes.Message) {
 	if req == nil {
 		panic(fmt.Sprintf("vips: core %d racy response with no pending op", l.id))
 	}
-	if l.cyc != nil {
-		l.cyc(int(l.id), cycles.EvClose, l.k.Now(), 0, 0)
-	}
+	cycles.Close(l.obs, l.k.Now(), l.id)
 	if msg.Req != req || msg.Seq != req.Seq {
 		panic(fmt.Sprintf("vips: core %d racy response for op %d does not match pending %s op %d",
 			l.id, msg.Seq, req.Kind, req.Seq))

@@ -65,9 +65,8 @@ func (b *Bank) qlMaybeQueue(msg *memtypes.Message, old uint64) bool {
 	st.blocked = true
 	st.queue = append(st.queue, queuedRMW{msg: msg})
 	b.stats.QueuedRMWs++
-	if b.cyc != nil { // held at the controller: blocked, not spinning
-		b.cyc(int(msg.Core), cycles.EvOpen, b.k.Now(), uint64(cycles.CatCBBlocked), 0)
-	}
+	// Held at the controller: blocked, not spinning.
+	cycles.Open(b.obs, b.k.Now(), msg.Core, cycles.CatCBBlocked)
 	return true
 }
 
@@ -92,9 +91,7 @@ func (b *Bank) qlRelease(addr memtypes.Addr) {
 		st.blocked = false
 	}
 	b.stats.QueueWakes++
-	if b.cyc != nil {
-		b.cyc(int(head.msg.Core), cycles.EvClose, b.k.Now(), 0, 0)
-	}
+	cycles.Close(b.obs, b.k.Now(), head.msg.Core)
 	// Replay the queued RMW; it goes through the normal execution path
 	// (including the possibility of being re-queued if another core
 	// snatched the lock in between — cannot happen for FIFO hand-off,

@@ -2,11 +2,11 @@ package vips
 
 import (
 	"repro/internal/chaos"
-	"repro/internal/cycles"
 	"repro/internal/mem"
 	"repro/internal/memtypes"
 	"repro/internal/noc"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // Tile bundles one node's L1 and LLC bank controller and demultiplexes
@@ -40,13 +40,10 @@ func (t *Tile) Deliver(msg *memtypes.Message) {
 // Port returns the L1, the port the node's core issues into.
 func (t *Tile) Port() memtypes.Port { return t.L1 }
 
-// SetObserver installs the tracing hook for callback-directory activity
-// (nil disables).
-func (t *Tile) SetObserver(fn mem.Observer) { t.Bank.observer = fn }
-
-// SetCyclesObserver installs the cycle-accounting hook on both
-// controllers (nil disables).
-func (t *Tile) SetCyclesObserver(fn cycles.Hook) { t.L1.cyc, t.Bank.cyc = fn, fn }
+// SetObserver installs the event hook on both controllers (nil
+// disables): callback-directory activity and the stall legs of in-flight
+// operations.
+func (t *Tile) SetObserver(fn trace.Hook) { t.L1.obs, t.Bank.obs = fn, fn }
 
 // Stats returns the tile's counters.
 func (t *Tile) Stats() mem.TileStats {

@@ -29,7 +29,7 @@ func newRig(t testing.TB, nodes int, cfg Config) *rig {
 	if w*w != nodes {
 		t.Fatalf("nodes %d is not a square", nodes)
 	}
-	mesh := noc.New(k, w, w)
+	mesh := noc.New(k, w, w, nil, false)
 	store := mem.NewStore()
 	bankOf := func(a memtypes.Addr) memtypes.NodeID {
 		return memtypes.NodeID(uint64(a.Line()) / memtypes.LineBytes % uint64(nodes))
