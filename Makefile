@@ -64,10 +64,10 @@ fuzz:
 	$(GO) test -fuzz FuzzDirectory -fuzztime $(FUZZTIME) ./internal/core/
 	$(GO) test -fuzz FuzzVerifiedPrograms -fuzztime $(FUZZTIME) ./internal/isa/verify/
 
-# chaos-litmus is the fault-injection gate: the chaos sweep (litmus
-# programs and sync kernels under the fault matrix at fixed seeds must
-# match their fault-free outcomes), the eviction-storm litmus tests, and
-# the machine-level watchdog/invariant tests.
+# chaos-litmus is the fault-injection gate: the chaos tests (every chaos
+# workload, litmus programs and sync kernels, under fixed fault mixes and
+# seeds must match its fault-free outcome), the eviction-storm litmus
+# tests, and the machine-level watchdog/invariant tests.
 chaos-litmus:
 	$(GO) test -count=1 -run 'TestRunChaos|Storm|TestWatchdog|TestCheckInvariants|TestChaosConfig' \
 		./internal/experiments/ ./internal/litmus/ ./internal/machine/

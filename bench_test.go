@@ -88,14 +88,18 @@ func BenchmarkTable1Primitives(b *testing.B) {
 // cycle exercises; it must report 0 allocs/op.
 func BenchmarkKernelHotPath(b *testing.B) {
 	k := sim.New()
-	fn := func() {}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		k.Schedule(1, fn)
+		k.Schedule(1, nopActor{}, nil, 0)
 		k.Step()
 	}
 }
+
+// nopActor is an event target that does nothing.
+type nopActor struct{}
+
+func (nopActor) Act(*memtypes.Message, uint64) {}
 
 // BenchmarkSuiteParallel compares a reduced Figure 21 sweep run serially
 // against the worker-pool fan-out. On a multi-core host the parallel

@@ -26,6 +26,7 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/machine"
+	"repro/internal/memtypes"
 	"repro/internal/metrics"
 	"repro/internal/replay"
 	"repro/internal/sim"
@@ -101,11 +102,10 @@ func run(out string, cores int, benches []string) error {
 	// loop of every simulated cycle. Must stay 0 allocs/op.
 	snap.Benchmarks["kernel_hot_path"] = record(testing.Benchmark(func(b *testing.B) {
 		k := sim.New()
-		fn := func() {}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			k.Schedule(1, fn)
+			k.Schedule(1, nopActor{}, nil, 0)
 			k.Step()
 		}
 	}))
@@ -313,6 +313,12 @@ func cellAllocs(n int, run func() error) (benchPerf, error) {
 	}, nil
 }
 
+// nopActor is an event target that does nothing: it isolates the
+// kernel's own schedule+step cost.
+type nopActor struct{}
+
+func (nopActor) Act(*memtypes.Message, uint64) {}
+
 // spinWaveActor models a parked core with a known next wake: it fires
 // and immediately reschedules itself period cycles out.
 type spinWaveActor struct {
@@ -320,8 +326,8 @@ type spinWaveActor struct {
 	period uint64
 }
 
-func (a *spinWaveActor) Act(data any, arg uint64) {
-	a.k.ScheduleActor(a.period, a, nil, 0)
+func (a *spinWaveActor) Act(*memtypes.Message, uint64) {
+	a.k.Schedule(a.period, a, nil, 0)
 }
 
 // spinWaveSetup populates k with the spin-wave distribution: 64 spinners
@@ -332,11 +338,11 @@ func spinWaveSetup(k *sim.Kernel) {
 	sp := make([]spinWaveActor, spinners)
 	for i := range sp {
 		sp[i] = spinWaveActor{k: k, period: uint64(i%17 + 3)}
-		k.ScheduleActor(sp[i].period, &sp[i], nil, 0)
+		k.Schedule(sp[i].period, &sp[i], nil, 0)
 	}
 	idle := &spinWaveActor{k: k, period: 2_000_000_000}
 	for i := 0; i < 1024; i++ {
-		k.AtActor(1_000_000_000+uint64(i), idle, nil, 0)
+		k.At(1_000_000_000+uint64(i), idle, nil, 0)
 	}
 }
 

@@ -1,7 +1,6 @@
 // Package cache provides the generic set-associative storage used by the
 // L1 caches and LLC banks of every protocol: a tag array with true-LRU
-// replacement, per-line protocol payload, and an MSHR file for outstanding
-// misses.
+// replacement and per-line protocol payload.
 package cache
 
 import (

@@ -151,70 +151,6 @@ func TestPropertyCacheConsistency(t *testing.T) {
 	}
 }
 
-func TestMSHRLifecycle(t *testing.T) {
-	f := NewMSHRFile(4)
-	m := f.Alloc(0x123, 3)
-	if m.Addr != memtypes.Addr(0x123).Line() {
-		t.Fatal("MSHR address not line-aligned")
-	}
-	if f.Get(0x140) != nil {
-		t.Fatal("Get hit wrong line")
-	}
-	if f.Get(0x100) != m {
-		t.Fatal("Get missed by non-aligned address within the line")
-	}
-	ran := 0
-	m.Deferred = append(m.Deferred, func() { ran++ }, func() { ran++ })
-	for _, fn := range f.Free(0x123) {
-		fn()
-	}
-	if ran != 2 {
-		t.Fatalf("deferred ops ran %d times, want 2", ran)
-	}
-	if f.Get(0x123) != nil {
-		t.Fatal("MSHR survives Free")
-	}
-}
-
-func TestMSHRCapacity(t *testing.T) {
-	f := NewMSHRFile(2)
-	f.Alloc(0x000, 0)
-	f.Alloc(0x040, 0)
-	if !f.Full() {
-		t.Fatal("file should be full")
-	}
-	if f.PeakUsed != 2 {
-		t.Fatalf("PeakUsed = %d, want 2", f.PeakUsed)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("alloc past capacity did not panic")
-		}
-	}()
-	f.Alloc(0x080, 0)
-}
-
-func TestMSHRDoubleAllocPanics(t *testing.T) {
-	f := NewMSHRFile(0)
-	f.Alloc(0x40, 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("double alloc did not panic")
-		}
-	}()
-	f.Alloc(0x44, 2) // same line
-}
-
-func TestMSHRFreeMissingPanics(t *testing.T) {
-	f := NewMSHRFile(0)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("free of missing MSHR did not panic")
-		}
-	}()
-	f.Free(0x40)
-}
-
 func BenchmarkLookupHit(b *testing.B) {
 	a := NewArray[testState](32*1024, 4)
 	a.Allocate(0x40)

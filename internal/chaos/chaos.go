@@ -8,7 +8,7 @@
 // (waiters are answered with the current value), wakes may be spurious or
 // delayed, and the network may stretch or jitter message latencies. None
 // of them may change the *outcome* of a correct program — only its timing
-// — which is exactly what experiments.RunChaos asserts.
+// — which is exactly what the experiments chaos sweep asserts.
 //
 // The package is a leaf: it imports nothing from the simulator so every
 // layer (noc, core, vips, mesi, machine) can hold an *Engine without

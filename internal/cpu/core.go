@@ -201,13 +201,13 @@ func (c *Core) Run(prog *isa.Program, delay uint64) {
 	}
 	c.prog = prog
 	c.started = true
-	c.k.ScheduleActor(delay, c, nil, stageStep)
+	c.k.Schedule(delay, c, nil, stageStep)
 }
 
 // Act runs one of the core's scheduled events (implements sim.Actor).
 //
 //cbsim:hotpath
-func (c *Core) Act(_ any, stage uint64) {
+func (c *Core) Act(_ *memtypes.Message, stage uint64) {
 	switch stage {
 	case stageStep:
 		c.step()
@@ -240,7 +240,7 @@ func (c *Core) step() {
 	for n := 0; ; n++ {
 		if n >= maxBatch {
 			c.flushExec(elapsed, &rep)
-			c.k.ScheduleActor(elapsed, c, nil, stageStep)
+			c.k.Schedule(elapsed, c, nil, stageStep)
 			return
 		}
 		if c.pc < 0 || c.pc >= c.prog.Len() {
@@ -333,7 +333,7 @@ func (c *Core) step() {
 			c.stats.BackoffCycles += wait
 			c.flushExec(elapsed, &rep)
 			c.emit(trace.KindSpinWait, c.k.Now()+elapsed, wait, uint64(c.curKind()))
-			c.k.ScheduleActor(elapsed+wait, c, nil, stageStep)
+			c.k.Schedule(elapsed+wait, c, nil, stageStep)
 			return
 		case isa.Done:
 			c.done = true
@@ -344,7 +344,7 @@ func (c *Core) step() {
 			c.flushExec(elapsed, &rep)
 			c.emit(trace.KindDone, c.stats.DoneAt, 0, 0)
 			if c.onDone != nil {
-				c.k.ScheduleActor(elapsed, c, nil, stageDone)
+				c.k.Schedule(elapsed, c, nil, stageDone)
 			}
 			return
 		default:
@@ -444,7 +444,7 @@ func (c *Core) issueMem(in *isa.Instr, elapsed uint64) {
 	if elapsed == 0 {
 		c.issue()
 	} else {
-		c.k.ScheduleActor(elapsed, c, nil, stageIssue)
+		c.k.Schedule(elapsed, c, nil, stageIssue)
 	}
 }
 

@@ -27,7 +27,7 @@ func (p *fakePort) Access(req *memtypes.Request, done memtypes.Completer) {
 	if req.Sync {
 		p.syncOps++
 	}
-	p.k.Schedule(p.latency, func() {
+	p.k.Schedule(p.latency, fnActor(func() {
 		var resp memtypes.Response
 		switch req.Kind {
 		case memtypes.OpRead, memtypes.OpReadThrough, memtypes.OpReadCB:
@@ -45,8 +45,13 @@ func (p *fakePort) Access(req *memtypes.Request, done memtypes.Completer) {
 			// no-op
 		}
 		done.Complete(resp)
-	})
+	}), nil, 0)
 }
+
+// fnActor adapts a function to a sim.Actor for tests.
+type fnActor func()
+
+func (f fnActor) Act(*memtypes.Message, uint64) { f() }
 
 func runProgram(t *testing.T, prog *isa.Program, setup func(*Core, *fakePort)) (*Core, *fakePort, *sim.Kernel) {
 	t.Helper()

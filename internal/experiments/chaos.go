@@ -10,8 +10,8 @@ import (
 	"repro/internal/workload"
 )
 
-// RunChaos exercises the paper's robustness claims adversarially: every
-// synchronization kernel and generated litmus program runs under a
+// The chaos sweep exercises the paper's robustness claims adversarially:
+// every synchronization kernel and generated litmus program runs under a
 // matrix of fault mixes and seeds, with the liveness watchdog armed and
 // runtime invariant checking on, and each chaotic run's outcome — the
 // final shared-memory state and the synchronization-episode counts,
@@ -57,7 +57,7 @@ type ChaosCell struct {
 	Faults chaos.Stats
 }
 
-// ChaosReport is RunChaos's result: every cell ran, terminated, and
+// ChaosReport is a chaos sweep's result: every cell ran, terminated, and
 // matched its fault-free baseline.
 type ChaosReport struct {
 	Workloads int
@@ -183,20 +183,13 @@ func chaosWorkloads(o Options) []chaosWorkload {
 	return ws
 }
 
-// RunChaos runs the fault matrix. entries defaults to
-// DefaultChaosMatrix, seeds to {1}. Every (workload, entry, seed) cell
-// must terminate (the watchdog converts lost wakeups into typed
-// failures instead of hangs) and reproduce the fault-free outcome;
-// the first divergence, invariant violation, or watchdog trip fails
-// the sweep with a descriptive error. Cells fan out across
+// runChaosWorkloads runs the fault matrix over the workload set ws.
+// entries defaults to DefaultChaosMatrix, seeds to {1}. Every (workload,
+// entry, seed) cell must terminate (the watchdog converts lost wakeups
+// into typed failures instead of hangs) and reproduce the fault-free
+// outcome; the first divergence, invariant violation, or watchdog trip
+// fails the sweep with a descriptive error. Cells fan out across
 // o.Parallelism workers.
-func RunChaos(o Options, entries []ChaosEntry, seeds []uint64) (*ChaosReport, error) {
-	o = o.fill()
-	return runChaosWorkloads(o, chaosWorkloads(o), entries, seeds)
-}
-
-// runChaosWorkloads runs the fault matrix over an explicit workload set
-// (tests sweep a small subset; RunChaos sweeps everything).
 func runChaosWorkloads(o Options, ws []chaosWorkload, entries []ChaosEntry, seeds []uint64) (*ChaosReport, error) {
 	o = o.fill()
 	if o.Watchdog == 0 {

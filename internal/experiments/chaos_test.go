@@ -8,37 +8,15 @@ import (
 	"repro/internal/chaos"
 )
 
+// chaosTestOptions runs the chaos tests on a 9-core (3x3) mesh. Both
+// tests sweep the full chaosWorkloads set; the odd core count also
+// covers micros that pair cores up.
 func chaosTestOptions() Options {
 	return Options{
 		Cores:       9,
 		Parallelism: 4,
 		Logf:        func(string, ...any) {},
 	}
-}
-
-// chaosTestWorkloads picks a small representative slice of the full
-// sweep (one T&T&S and one CLH lock kernel on the callback setups, plus
-// one random litmus program per protocol family) so the test finishes
-// in seconds; CI's chaos-litmus target runs the full RunChaos matrix.
-func chaosTestWorkloads(t *testing.T, o Options) []chaosWorkload {
-	t.Helper()
-	want := map[string]bool{
-		"T&T&S/CB-One":        true,
-		"CLH/CB-All":          true,
-		"rand-1/Callback":     true,
-		"rand-1/Invalidation": true,
-	}
-	var out []chaosWorkload
-	for _, w := range chaosWorkloads(o) {
-		if want[w.name] {
-			out = append(out, w)
-			delete(want, w.name)
-		}
-	}
-	if len(want) != 0 {
-		t.Fatalf("chaos workload set is missing %v", want)
-	}
-	return out
 }
 
 func mustParse(t *testing.T, s string) *chaos.Spec {
@@ -58,7 +36,7 @@ func TestRunChaosMatchesBaseline(t *testing.T) {
 		t.Skip("chaos matrix is a multi-second sweep")
 	}
 	o := chaosTestOptions()
-	ws := chaosTestWorkloads(t, o)
+	ws := chaosWorkloads(o)
 	entries := []ChaosEntry{
 		{Name: "all", Spec: mustParse(t, "all")},
 		{Name: "squeeze", Spec: mustParse(t, "squeeze,evict-storm=0.1")},
@@ -91,7 +69,7 @@ func TestRunChaosDeterministic(t *testing.T) {
 		t.Skip("chaos matrix is a multi-second sweep")
 	}
 	o := chaosTestOptions()
-	ws := chaosTestWorkloads(t, o)
+	ws := chaosWorkloads(o)
 	entries := []ChaosEntry{{Name: "all", Spec: mustParse(t, "all")}}
 	run := func() string {
 		rep, err := runChaosWorkloads(o, ws, entries, []uint64{3})

@@ -189,6 +189,22 @@ func TestMicrosRun(t *testing.T) {
 	}
 }
 
+// At an odd core count the signal-wait micro pairs all but the last
+// core, which runs an empty program.
+func TestSignalWaitOddCores(t *testing.T) {
+	s, err := SetupByName("CB-One")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := RunMicro(signalWaitMicro(), s, Options{Cores: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Latency <= 0 {
+		t.Fatal("signal-wait at 9 cores measured no wait latency")
+	}
+}
+
 func TestSyncKindsCovered(t *testing.T) {
 	// Every micro measures a real kind.
 	for _, mc := range Micros() {

@@ -184,18 +184,6 @@ func SuiteToFig21(sr *SuiteResults) (timeT, trafT *metrics.Table) {
 	return suiteTables(sr, "Figure 21")
 }
 
-// Fig21 runs the full suite with scalable synchronization (CLH + TreeSR)
-// and reports execution time and network traffic normalized to
-// Invalidation per benchmark, plus geomeans.
-func Fig21(o Options) (timeT, trafT *metrics.Table, sr *SuiteResults, err error) {
-	sr, err = RunSuite(StandardSetups(), workload.StyleScalable, o)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	timeT, trafT = SuiteToFig21(sr)
-	return timeT, trafT, sr, nil
-}
-
 // Fig22 converts a suite sweep into the energy breakdown of Figure 22:
 // per setup, the geomean across benchmarks of L1 / LLC / network /
 // callback-directory energy, normalized to Invalidation's total.

@@ -119,20 +119,24 @@ func signalWaitMicro() Micro {
 			g := &workload.Generated{Layout: lay, Flavor: f,
 				Observe: []memtypes.Addr{}}
 			for tid := 0; tid < cores; tid++ {
-				rng := rand.New(rand.NewSource(int64(tid) + 99))
-				ch := chans[tid/2]
 				b := isa.NewBuilder()
-				b.Imm(isa.R1, iters)
-				b.Label("loop")
-				if tid%2 == 0 {
-					b.Compute(uint64(500 + rng.Intn(1000)))
-					ch.EmitSignal(b, f)
-				} else {
-					ch.EmitWait(b, f)
-					b.Compute(50)
+				// An odd core count leaves the last core unpaired:
+				// it gets an empty program.
+				if tid/2 < len(chans) {
+					rng := rand.New(rand.NewSource(int64(tid) + 99))
+					ch := chans[tid/2]
+					b.Imm(isa.R1, iters)
+					b.Label("loop")
+					if tid%2 == 0 {
+						b.Compute(uint64(500 + rng.Intn(1000)))
+						ch.EmitSignal(b, f)
+					} else {
+						ch.EmitWait(b, f)
+						b.Compute(50)
+					}
+					b.Addi(isa.R1, isa.R1, ^uint64(0))
+					b.Bnez(isa.R1, "loop")
 				}
-				b.Addi(isa.R1, isa.R1, ^uint64(0))
-				b.Bnez(isa.R1, "loop")
 				b.Done()
 				g.Programs = append(g.Programs, b.MustBuild())
 			}
@@ -185,30 +189,4 @@ func RunMicro(mc Micro, s Setup, o Options) (MicroResult, error) {
 		Latency:     st.SyncLatency(mc.LatencyKind),
 		Stats:       st,
 	}, nil
-}
-
-// RunMicroGrid sweeps every microbenchmark across the setups, cells
-// running across Options.Parallelism workers. grid[m][s] is microbenchmark
-// mcs[m] under setups[s].
-func RunMicroGrid(mcs []Micro, setups []Setup, o Options) (grid [][]MicroResult, err error) {
-	o = o.fill()
-	flat := make([]MicroResult, len(mcs)*len(setups))
-	err = o.forEach(len(flat), func(i int) error {
-		mc, s := mcs[i/len(setups)], setups[i%len(setups)]
-		o.Logf("run micro %-14s %-13s", mc.Name, s.Name)
-		res, err := RunMicro(mc, s, o)
-		if err != nil {
-			return err
-		}
-		flat[i] = res
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	grid = make([][]MicroResult, len(mcs))
-	for m := range mcs {
-		grid[m] = flat[m*len(setups) : (m+1)*len(setups)]
-	}
-	return grid, nil
 }

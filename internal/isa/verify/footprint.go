@@ -62,9 +62,6 @@ func (f *Footprint) Covers(lo, hi uint64) bool {
 	return false
 }
 
-// Empty reports whether no ranges are declared.
-func (f *Footprint) Empty() bool { return len(f.ranges) == 0 }
-
 // Ranges returns the normalized [base, end) ranges.
 func (f *Footprint) Ranges() [][2]uint64 {
 	out := make([][2]uint64, len(f.ranges))

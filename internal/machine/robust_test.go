@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/isa"
+	"repro/internal/memtypes"
 )
 
 // parkedMachine builds a machine whose core 0 parks forever: the second
@@ -30,10 +31,15 @@ func parkedMachine(t *testing.T) *Machine {
 // a parked machine reaches the watchdog instead of draining the queue
 // and hitting the plain deadlock diagnosis.
 func keepAlive(m *Machine) {
-	var tick func()
-	tick = func() { m.K.Schedule(100, tick) }
-	m.K.Schedule(100, tick)
+	var tick fnActor
+	tick = func() { m.K.Schedule(100, tick, nil, 0) }
+	m.K.Schedule(100, tick, nil, 0)
 }
+
+// fnActor adapts a function to a sim.Actor for tests.
+type fnActor func()
+
+func (f fnActor) Act(*memtypes.Message, uint64) { f() }
 
 func TestWatchdogFiresOnLostWakeup(t *testing.T) {
 	m := parkedMachine(t)

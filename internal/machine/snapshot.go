@@ -38,10 +38,7 @@ import (
 
 // ErrNotQuiescent reports a Snapshot attempted on a machine that is not
 // quiescent. Match with errors.Is; the concrete error is a
-// *NotQuiescentError carrying the in-flight counts. The replay
-// checkpoint recorder relies on this sentinel to distinguish "try again
-// at the next quiescent point" (deferred checkpoint) from a real
-// failure.
+// *NotQuiescentError carrying the in-flight counts.
 var ErrNotQuiescent = errors.New("machine: not quiescent")
 
 // NotQuiescentError is the diagnostic payload behind ErrNotQuiescent:

@@ -223,17 +223,16 @@ func (d *Dir) Deliver(msg *memtypes.Message) {
 func (d *Dir) grant(msg *memtypes.Message, kind memtypes.MsgKind) {
 	lat := d.accessLat(msg.Addr, true, msg.Req.SyncPhase())
 	cycles.Span(d.obs, d.k.Now(), d.k.Now()+lat, msg.Core, cycles.CatLLCStall)
-	d.k.ScheduleActor(lat, d, msg, uint64(kind))
+	d.k.Schedule(lat, d, msg, uint64(kind))
 }
 
-// Act fires a grant scheduled by grant (implements sim.Actor): data is
+// Act fires a grant scheduled by grant (implements sim.Actor): msg is
 // the request message and kind the data kind. It sends the line, ends
 // the transaction (replaying one deferred request), and recycles the
 // request.
 //
 //cbsim:hotpath
-func (d *Dir) Act(data any, kind uint64) {
-	msg := data.(*memtypes.Message)
+func (d *Dir) Act(msg *memtypes.Message, kind uint64) {
 	resp := d.mesh.NewMessage()
 	*resp = memtypes.Message{
 		Src: d.id, Dst: msg.Src, Kind: memtypes.MsgKind(kind),

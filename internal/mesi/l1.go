@@ -188,13 +188,13 @@ func (l *L1) respond(delay uint64, done memtypes.Completer, resp memtypes.Respon
 		panic(fmt.Sprintf("mesi: core %d response slot already in use", l.id))
 	}
 	l.resp, l.respTo = resp, done
-	l.k.ScheduleActor(delay, l, nil, evRespond)
+	l.k.Schedule(delay, l, nil, evRespond)
 }
 
 // Act runs one of the L1's scheduled events (implements sim.Actor).
 //
 //cbsim:hotpath
-func (l *L1) Act(_ any, ev uint64) {
+func (l *L1) Act(_ *memtypes.Message, ev uint64) {
 	switch ev {
 	case evRespond:
 		done := l.respTo

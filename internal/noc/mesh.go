@@ -280,10 +280,10 @@ func (m *Mesh) Send(msg *memtypes.Message) {
 	if msg.Src == msg.Dst {
 		if m.chaos != nil {
 			t := m.chaosClamp(msg.Dst, floorLocal, m.k.Now()+DefaultLocalLatency+delay)
-			m.k.AtActor(t, m, msg, uint64(msg.Dst))
+			m.k.At(t, m, msg, uint64(msg.Dst))
 			return
 		}
-		m.k.ScheduleActor(DefaultLocalLatency, m, msg, uint64(msg.Dst))
+		m.k.Schedule(DefaultLocalLatency, m, msg, uint64(msg.Dst))
 		return
 	}
 	m.stats.Messages++
@@ -294,15 +294,15 @@ func (m *Mesh) Send(msg *memtypes.Message) {
 		m.stats.Hops += hops
 		if m.chaos != nil {
 			t := m.chaosClamp(msg.Dst, floorLocal, m.k.Now()+hops*DefaultSwitchLatency+delay)
-			m.k.AtActor(t, m, msg, uint64(msg.Dst))
+			m.k.At(t, m, msg, uint64(msg.Dst))
 			return
 		}
-		m.k.ScheduleActor(hops*DefaultSwitchLatency, m, msg, uint64(msg.Dst))
+		m.k.Schedule(hops*DefaultSwitchLatency, m, msg, uint64(msg.Dst))
 		return
 	}
 	if m.chaos != nil {
 		if t := m.chaosClamp(msg.Src, floorInject, m.k.Now()+delay); t > m.k.Now() {
-			m.k.AtActor(t, m, msg, uint64(msg.Src))
+			m.k.At(t, m, msg, uint64(msg.Src))
 			return
 		}
 	}
@@ -315,8 +315,8 @@ func (m *Mesh) Send(msg *memtypes.Message) {
 // closure allocations.
 //
 //cbsim:hotpath
-func (m *Mesh) Act(data any, arg uint64) {
-	m.hop(data.(*memtypes.Message), memtypes.NodeID(arg))
+func (m *Mesh) Act(msg *memtypes.Message, arg uint64) {
+	m.hop(msg, memtypes.NodeID(arg))
 }
 
 // hop routes msg one step from node at, scheduling the arrival at the next
@@ -362,7 +362,7 @@ func (m *Mesh) hop(msg *memtypes.Message, at memtypes.NodeID) {
 	if m.chaos != nil {
 		arrive = m.chaosClamp(at, int(dir), arrive+m.chaos.HopJitter())
 	}
-	m.k.AtActor(arrive, m, msg, uint64(next))
+	m.k.At(arrive, m, msg, uint64(next))
 }
 
 //cbsim:hotpath

@@ -146,7 +146,7 @@ func TestXYRoutingIsDeadlockFreeUnderLoad(t *testing.T) {
 		}
 		delay := uint64(rng.Intn(100))
 		msg := &memtypes.Message{Src: src, Dst: dst, Class: class}
-		k.Schedule(delay, func() { m.Send(msg) })
+		k.Schedule(delay, fnActor(func() { m.Send(msg) }), nil, 0)
 	}
 	if err := k.Run(0); err != nil {
 		t.Fatal(err)
@@ -236,3 +236,8 @@ func TestIdealModeSkipsContention(t *testing.T) {
 		t.Fatalf("ideal stats = %+v", s)
 	}
 }
+
+// fnActor adapts a function to a sim.Actor for tests.
+type fnActor func()
+
+func (f fnActor) Act(*memtypes.Message, uint64) { f() }

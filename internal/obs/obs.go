@@ -100,15 +100,6 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
-// Mean returns the mean observation, or 0 before any.
-func (h *Histogram) Mean() float64 {
-	n := h.Count()
-	if n == 0 {
-		return 0
-	}
-	return h.Sum() / float64(n)
-}
-
 // Buckets returns the bucket upper bounds and their cumulative counts
 // (the +Inf bucket is the final element, equal to Count).
 func (h *Histogram) Buckets() (bounds []float64, cumulative []uint64) {

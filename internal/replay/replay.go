@@ -13,22 +13,19 @@
 // the requested trace sinks, and run to the window end.
 //
 // Checkpoints and quiescence. machine.Snapshot only captures quiescent
-// machines (its closure-backed transient state cannot be copied), and a
-// mid-run machine essentially always has events in flight. The recorder
-// therefore attempts a portable snapshot at every mark and — on
-// machine.ErrNotQuiescent — defers it to the next quiescent point,
-// which for real workloads is the end of the run (the final portable
-// snapshot). The fast re-execution anchors are instead live cursors:
-// paused machines parked at a cycle boundary by a previous replay, kept
-// in a bounded LRU ring. A replay of [from,to) anchors on the best
-// cursor at or below from (or a fresh build at cycle 0), and parks its
-// machine at to for the next replay to reuse — repeatedly stepping
-// through a run forward pays the prefix once, not per window.
+// machines: pending kernel events, in-flight messages and controller
+// transactions are not part of its manifest, and a mid-run machine
+// essentially always has events in flight. The recorder therefore keeps
+// digest marks, not snapshots. The fast re-execution anchors are live
+// cursors: paused machines parked at a cycle boundary by a previous
+// replay, kept in a bounded LRU ring. A replay of [from,to) anchors on
+// the best cursor at or below from (or a fresh build at cycle 0), and
+// parks its machine at to for the next replay to reuse — repeatedly
+// stepping through a run forward pays the prefix once, not per window.
 package replay
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 
@@ -137,12 +134,6 @@ type Recording struct {
 	// the run completed (before Quiesce).
 	finalDigest uint64
 	stats       machine.Stats
-	// snap is the end-of-run portable snapshot, captured after Quiesce
-	// — the one quiescent point real workloads reach.
-	snap *machine.Snapshot
-	// deferred counts checkpoint attempts refused with ErrNotQuiescent
-	// and deferred to the next quiescent point.
-	deferred int
 
 	mu       sync.Mutex
 	cursors  []*cursor
@@ -158,8 +149,7 @@ type cursor struct {
 }
 
 // Record runs the source to completion, digesting at every Interval
-// boundary and attempting a portable checkpoint there (deferring on
-// machine.ErrNotQuiescent, per the quiescence contract).
+// boundary.
 func Record(src Source, opts Options) (*Recording, error) {
 	m, err := src.Build()
 	if err != nil {
@@ -191,15 +181,6 @@ func record(m *machine.Machine, src Source, opts Options) (*Recording, error) {
 			break
 		}
 		r.marks = append(r.marks, Mark{Cycle: next, Digest: m.Digest(opts.Scope), Executed: m.K.Executed()})
-		if _, err := m.Snapshot(); err == nil {
-			// A quiescent mid-run boundary: nothing in flight. No real
-			// workload reaches this (cores always have a next event),
-			// but the contract is honored if one does.
-		} else if errors.Is(err, machine.ErrNotQuiescent) {
-			r.deferred++
-		} else {
-			return nil, fmt.Errorf("replay: checkpoint %s at %d: %w", src.Label, next, err)
-		}
 		if next >= limit {
 			return nil, fmt.Errorf("replay: record %s: no completion within %d cycles", src.Label, limit)
 		}
@@ -212,17 +193,11 @@ func record(m *machine.Machine, src Source, opts Options) (*Recording, error) {
 	r.endCycle = r.stats.Cycles
 	r.finalDigest = m.Digest(opts.Scope)
 
-	// The deferred checkpoint lands here: Quiesce drains the leftover
-	// events and the machine reaches its one guaranteed quiescent
-	// point.
+	// Quiesce drains the leftover events: a run whose in-flight work
+	// never lands is an error, not a recording.
 	if err := m.Quiesce(machine.DefaultWatchdogWindow); err != nil {
 		return nil, fmt.Errorf("replay: quiesce %s: %w", src.Label, err)
 	}
-	snap, err := m.Snapshot()
-	if err != nil {
-		return nil, fmt.Errorf("replay: final checkpoint %s: %w", src.Label, err)
-	}
-	r.snap = snap
 
 	if opts.SpillDir != "" {
 		if err := r.spill(); err != nil {
@@ -248,10 +223,6 @@ func (r *Recording) End() uint64 { return r.endCycle + 1 }
 
 // Marks returns the digest marks (ascending cycle, mark 0 at cycle 0).
 func (r *Recording) Marks() []Mark { return r.marks }
-
-// Deferred reports how many checkpoint attempts were refused with
-// machine.ErrNotQuiescent and deferred to the next quiescent point.
-func (r *Recording) Deferred() int { return r.deferred }
 
 // Interval returns the effective mark cadence K.
 func (r *Recording) Interval() uint64 { return r.opts.Interval }

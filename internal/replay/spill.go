@@ -32,7 +32,6 @@ type Spill struct {
 	Scope       string `json:"scope"`
 	EndCycle    uint64 `json:"end_cycle"`
 	FinalDigest uint64 `json:"final_digest"`
-	Deferred    int    `json:"deferred_checkpoints"`
 	Marks       []Mark `json:"marks"`
 }
 
@@ -45,7 +44,6 @@ func (r *Recording) spill() error {
 		Scope:       r.opts.Scope.String(),
 		EndCycle:    r.endCycle,
 		FinalDigest: r.finalDigest,
-		Deferred:    r.deferred,
 		Marks:       r.marks,
 	}
 	data, err := json.MarshalIndent(&blob, "", "  ")

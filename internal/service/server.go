@@ -913,7 +913,7 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, ReplayResponse{
 		ID: j.id, From: from, To: to, End: rec.End(),
-		Interval: rec.Interval(), Marks: len(rec.Marks()), Deferred: rec.Deferred(),
+		Interval: rec.Interval(), Marks: len(rec.Marks()),
 		Stats: st, Energy: experiments.EnergyOf(st),
 	})
 }

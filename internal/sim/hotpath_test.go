@@ -1,15 +1,19 @@
 package sim
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/memtypes"
+)
 
 // The kernel hot path must not allocate: every simulated cycle pops and
 // pushes events, so a single allocation per event dominates the profile.
 
 func TestScheduleStepNoAllocs(t *testing.T) {
 	k := New()
-	fn := func() {} // static: capturing nothing, allocated once
+	fn := fnActor(func() {}) // static: capturing nothing, allocated once
 	allocs := testing.AllocsPerRun(1000, func() {
-		k.Schedule(1, fn)
+		k.Schedule(1, fn, nil, 0)
 		if !k.Step() {
 			t.Fatal("Step returned false with a pending event")
 		}
@@ -20,34 +24,34 @@ func TestScheduleStepNoAllocs(t *testing.T) {
 }
 
 type recordingActor struct {
-	data []any
+	msgs []*memtypes.Message
 	args []uint64
 }
 
-func (a *recordingActor) Act(data any, arg uint64) {
-	a.data = append(a.data, data)
+func (a *recordingActor) Act(msg *memtypes.Message, arg uint64) {
+	a.msgs = append(a.msgs, msg)
 	a.args = append(a.args, arg)
 }
 
 func TestActorScheduling(t *testing.T) {
 	k := New()
 	a := &recordingActor{}
-	payload := &struct{ n int }{n: 7}
-	k.ScheduleActor(3, a, payload, 42)
-	k.AtActor(5, a, nil, 99)
-	var closureAt uint64
-	k.Schedule(4, func() { closureAt = k.Now() })
+	payload := &memtypes.Message{Seq: 7}
+	k.Schedule(3, a, payload, 42)
+	k.At(5, a, nil, 99)
+	var fnAt uint64
+	k.Schedule(4, fnActor(func() { fnAt = k.Now() }), nil, 0)
 	if err := k.Run(0); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	if len(a.args) != 2 || a.args[0] != 42 || a.args[1] != 99 {
 		t.Fatalf("actor args = %v, want [42 99]", a.args)
 	}
-	if a.data[0] != payload || a.data[1] != nil {
-		t.Fatalf("actor data not passed through verbatim: %v", a.data)
+	if a.msgs[0] != payload || a.msgs[1] != nil {
+		t.Fatalf("actor messages not passed through verbatim: %v", a.msgs)
 	}
-	if closureAt != 4 {
-		t.Fatalf("interleaved closure fired at %d, want 4", closureAt)
+	if fnAt != 4 {
+		t.Fatalf("interleaved actor fired at %d, want 4", fnAt)
 	}
 }
 
@@ -57,50 +61,51 @@ func TestNilActorPanics(t *testing.T) {
 			t.Fatal("nil actor did not panic")
 		}
 	}()
-	New().ScheduleActor(1, nil, nil, 0)
+	New().Schedule(1, nil, nil, 0)
 }
 
 func TestActorScheduleNoAllocs(t *testing.T) {
 	k := New()
-	a := &recordingActor{data: make([]any, 0, 4096), args: make([]uint64, 0, 4096)}
-	payload := &struct{ n int }{} // pointer payload: stored in `any` without boxing
+	a := &recordingActor{msgs: make([]*memtypes.Message, 0, 4096), args: make([]uint64, 0, 4096)}
+	payload := &memtypes.Message{}
 	allocs := testing.AllocsPerRun(1000, func() {
-		a.data, a.args = a.data[:0], a.args[:0]
-		k.ScheduleActor(1, a, payload, 7)
+		a.msgs, a.args = a.msgs[:0], a.args[:0]
+		k.Schedule(1, a, payload, 7)
 		if !k.Step() {
 			t.Fatal("Step returned false with a pending event")
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("ScheduleActor+Step allocated %.1f times per event, want 0", allocs)
+		t.Fatalf("Schedule+Step with a payload allocated %.1f times per event, want 0", allocs)
 	}
 }
 
 // Popping must zero the vacated entry in both tiers: otherwise the
-// backing arrays pin the last-popped closure (and everything it captures)
-// forever.
+// backing arrays pin the last-popped actor and message forever.
 func TestPopZeroesVacatedSlot(t *testing.T) {
+	a := &recordingActor{}
+	msg := &memtypes.Message{}
 	k := New()
-	k.Schedule(1, func() {})
-	k.Schedule(2, func() {})
+	k.Schedule(1, a, msg, 0)
+	k.Schedule(2, a, msg, 0)
 	if !k.Step() {
 		t.Fatal("Step returned false")
 	}
 	// Cycle 1's wheel slot drained and rewound; its backing entry must
 	// not retain the fired event.
 	e := k.slots[1].ev[:1][0]
-	if e.fn != nil || e.actor != nil || e.data != nil {
+	if e.actor != nil || e.msg != nil {
 		t.Fatalf("vacated wheel slot not zeroed: %+v", e)
 	}
 
 	kh := NewHeapOnly()
-	kh.Schedule(1, func() {})
-	kh.Schedule(2, func() {})
+	kh.Schedule(1, a, msg, 0)
+	kh.Schedule(2, a, msg, 0)
 	if !kh.Step() {
 		t.Fatal("Step returned false")
 	}
 	tail := kh.heap[:2][1]
-	if tail.fn != nil || tail.actor != nil || tail.data != nil {
+	if tail.actor != nil || tail.msg != nil {
 		t.Fatalf("vacated heap slot not zeroed: %+v", tail)
 	}
 }
@@ -114,9 +119,9 @@ type spinWaveActor struct {
 	fires  uint64
 }
 
-func (a *spinWaveActor) Act(data any, arg uint64) {
+func (a *spinWaveActor) Act(*memtypes.Message, uint64) {
 	a.fires++
-	a.k.ScheduleActor(a.period, a, nil, 0)
+	a.k.Schedule(a.period, a, nil, 0)
 }
 
 // benchmarkSpinWave is the ISSUE target distribution: many cores whose
@@ -128,11 +133,11 @@ func benchmarkSpinWave(b *testing.B, k *Kernel) {
 	sp := make([]spinWaveActor, spinners)
 	for i := range sp {
 		sp[i] = spinWaveActor{k: k, period: uint64(i%17 + 3)}
-		k.ScheduleActor(sp[i].period, &sp[i], nil, 0)
+		k.Schedule(sp[i].period, &sp[i], nil, 0)
 	}
 	idle := &spinWaveActor{k: k, period: 2_000_000_000}
 	for i := 0; i < 1024; i++ {
-		k.AtActor(1_000_000_000+uint64(i), idle, nil, 0)
+		k.At(1_000_000_000+uint64(i), idle, nil, 0)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -149,7 +154,7 @@ func BenchmarkKernelSpinWave(b *testing.B) {
 func TestSpinWaveNoAllocs(t *testing.T) {
 	k := New()
 	a := &spinWaveActor{k: k, period: 7}
-	k.ScheduleActor(a.period, a, nil, 0)
+	k.Schedule(a.period, a, nil, 0)
 	allocs := testing.AllocsPerRun(1000, func() {
 		if !k.Step() {
 			t.Fatal("Step returned false with a pending event")

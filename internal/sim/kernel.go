@@ -1,8 +1,9 @@
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
-// All simulator components (cores, cache controllers, network routers)
-// schedule Actor events (a receiver plus an inline payload, so nothing
-// allocates) at absolute or relative cycle times. Events that share a
+// Every simulator component (cores, cache controllers, network routers)
+// is an Actor, and every event is an actor event: a receiver plus an
+// inline payload — a message pointer and a scalar — scheduled at an
+// absolute or relative cycle, so nothing allocates. Events that share a
 // cycle fire in scheduling order, which makes every run bit-reproducible:
 // the queue is ordered by (time, sequence number).
 //
@@ -23,30 +24,29 @@ package sim
 import (
 	"errors"
 	"math/bits"
+
+	"repro/internal/memtypes"
 )
 
 // ErrLimit is returned by Run when the cycle limit is reached with events
 // still pending. It usually indicates a deadlock or an undersized limit.
 var ErrLimit = errors.New("sim: cycle limit reached with pending events")
 
-// Actor is a pre-bound event target. Scheduling an actor instead of a
-// closure avoids the per-event closure allocation on hot paths that fire
-// many events against one long-lived object (e.g. per-hop message routing
-// in the NoC): the receiver, a pointer payload, and a small scalar are
-// stored inline in the event.
+// Actor is a pre-bound event target: a long-lived object (a core, a
+// controller, the mesh) that many events fire against. The receiver, a
+// message payload and a small scalar are stored inline in the event, so
+// scheduling allocates nothing.
 type Actor interface {
-	// Act fires the event. data and arg are the values passed to
-	// AtActor/ScheduleActor, verbatim.
-	Act(data any, arg uint64)
+	// Act fires the event. msg and arg are the values passed to
+	// At/Schedule, verbatim; msg may be nil.
+	Act(msg *memtypes.Message, arg uint64)
 }
 
 type event struct {
-	when uint64
-	seq  uint64
-	fn   func()
-	// actor/data/arg describe an actor event (fn == nil).
+	when  uint64
+	seq   uint64
 	actor Actor
-	data  any
+	msg   *memtypes.Message
 	arg   uint64
 }
 
@@ -163,46 +163,28 @@ func (k *Kernel) Pending() int { return k.nwheel + len(k.heap) }
 // Telemetry returns the scheduler-internal counters accumulated so far.
 func (k *Kernel) Telemetry() Telemetry { return k.tele }
 
-// Schedule runs fn delay cycles from now. A delay of zero fires later in
-// the current cycle, after all previously scheduled events for this cycle.
+// Schedule runs a.Act(msg, arg) delay cycles from now. A delay of zero
+// fires later in the current cycle, after all previously scheduled events
+// for this cycle.
 //
 //cbsim:hotpath
-func (k *Kernel) Schedule(delay uint64, fn func()) {
-	k.At(k.now+delay, fn)
+func (k *Kernel) Schedule(delay uint64, a Actor, msg *memtypes.Message, arg uint64) {
+	k.At(k.now+delay, a, msg, arg)
 }
 
-// At runs fn at the absolute cycle when. A when earlier than Now() is
-// clamped to now: the event fires later in the current cycle, after all
-// previously scheduled events, exactly like Schedule(0, fn). Protocol
-// layers compute absolute deadlines such as "FIFO floor + latency" whose
-// floor may already have passed; the clamp makes that well-defined
-// instead of a time-travel bug.
+// At runs a.Act(msg, arg) at the absolute cycle when. A when earlier than
+// Now() is clamped to now: the event fires later in the current cycle,
+// after all previously scheduled events, exactly like Schedule(0, ...).
+// Protocol layers compute absolute deadlines such as "FIFO floor +
+// latency" whose floor may already have passed; the clamp makes that
+// well-defined instead of a time-travel bug.
 //
 //cbsim:hotpath
-func (k *Kernel) At(when uint64, fn func()) {
-	if fn == nil {
-		panic("sim: nil event function")
-	}
-	k.push(event{when: when, fn: fn})
-}
-
-// ScheduleActor runs a.Act(data, arg) delay cycles from now. It is the
-// allocation-free counterpart of Schedule: no closure is created.
-//
-//cbsim:hotpath
-func (k *Kernel) ScheduleActor(delay uint64, a Actor, data any, arg uint64) {
-	k.AtActor(k.now+delay, a, data, arg)
-}
-
-// AtActor runs a.Act(data, arg) at the absolute cycle when. Like At, a
-// when earlier than Now() is clamped to now.
-//
-//cbsim:hotpath
-func (k *Kernel) AtActor(when uint64, a Actor, data any, arg uint64) {
+func (k *Kernel) At(when uint64, a Actor, msg *memtypes.Message, arg uint64) {
 	if a == nil {
 		panic("sim: nil event actor")
 	}
-	k.push(event{when: when, actor: a, data: data, arg: arg})
+	k.push(event{when: when, actor: a, msg: msg, arg: arg})
 }
 
 // push inserts an event, assigning its sequence number, into the wheel
@@ -265,8 +247,7 @@ func (k *Kernel) wheelPush(e event) {
 }
 
 // popSlot removes the earliest (lowest-sequence) event of slot si, zeroing
-// the vacated entry so the popped closure (and anything it captures) stays
-// collectable. A drained slot rewinds to reuse its backing.
+// the vacated entry so the popped actor and message stay collectable. A drained slot rewinds to reuse its backing.
 //
 //cbsim:hotpath
 func (k *Kernel) popSlot(si int) event {
@@ -364,7 +345,7 @@ func (k *Kernel) heapPush(e event) {
 }
 
 // heapPop removes and returns the heap's earliest event, zeroing the
-// vacated tail slot so the popped closure stays collectable.
+// vacated tail slot so the popped actor and message stay collectable.
 //
 //cbsim:hotpath
 func (k *Kernel) heapPop() event {
@@ -413,11 +394,7 @@ func (k *Kernel) stepOne() {
 	}
 	k.now = e.when
 	k.nrun++
-	if e.fn != nil {
-		e.fn()
-		return
-	}
-	e.actor.Act(e.data, e.arg)
+	e.actor.Act(e.msg, e.arg)
 }
 
 // Step fires the single earliest pending event and advances the clock to
@@ -534,8 +511,8 @@ type KernelState struct {
 var ErrNotQuiescent = errors.New("sim: kernel has pending events")
 
 // State captures the kernel's execution state. It fails with
-// ErrNotQuiescent unless the queue is drained: pending closures cannot be
-// serialized deterministically.
+// ErrNotQuiescent unless the queue is drained: pending events point at
+// live actors and messages, which a KernelState does not capture.
 func (k *Kernel) State() (KernelState, error) {
 	if k.Pending() != 0 {
 		return KernelState{}, ErrNotQuiescent

@@ -6,12 +6,29 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
+
+	"repro/internal/memtypes"
 )
+
+// fnActor adapts a function to an Actor for tests.
+type fnActor func()
+
+func (f fnActor) Act(*memtypes.Message, uint64) { f() }
+
+// An event is {when, seq, actor, msg, arg}: two words of ordering, a
+// two-word interface, a pointer and the scalar. The wheel and the heap
+// move events by value, so their size is the kernel's memory traffic.
+func TestEventSize(t *testing.T) {
+	if got := unsafe.Sizeof(event{}); got != 48 {
+		t.Fatalf("sizeof(event) = %d bytes, want 48", got)
+	}
+}
 
 func TestZeroValueUsable(t *testing.T) {
 	var k Kernel
 	fired := false
-	k.Schedule(5, func() { fired = true })
+	k.Schedule(5, fnActor(func() { fired = true }), nil, 0)
 	if err := k.Run(0); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -28,7 +45,7 @@ func TestFIFOWithinCycle(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		k.Schedule(3, func() { order = append(order, i) })
+		k.Schedule(3, fnActor(func() { order = append(order, i) }), nil, 0)
 	}
 	if err := k.Run(0); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -46,7 +63,7 @@ func TestTimeOrdering(t *testing.T) {
 	delays := []uint64{9, 2, 7, 2, 0, 100, 1}
 	for _, d := range delays {
 		d := d
-		k.Schedule(d, func() { times = append(times, k.Now()) })
+		k.Schedule(d, fnActor(func() { times = append(times, k.Now()) }), nil, 0)
 	}
 	if err := k.Run(0); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -62,9 +79,9 @@ func TestTimeOrdering(t *testing.T) {
 func TestZeroDelayFiresSameCycle(t *testing.T) {
 	k := New()
 	var at uint64 = 999
-	k.Schedule(4, func() {
-		k.Schedule(0, func() { at = k.Now() })
-	})
+	k.Schedule(4, fnActor(func() {
+		k.Schedule(0, fnActor(func() { at = k.Now() }), nil, 0)
+	}), nil, 0)
 	if err := k.Run(0); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -76,14 +93,14 @@ func TestZeroDelayFiresSameCycle(t *testing.T) {
 func TestChainedScheduling(t *testing.T) {
 	k := New()
 	count := 0
-	var step func()
+	var step fnActor
 	step = func() {
 		count++
 		if count < 100 {
-			k.Schedule(1, step)
+			k.Schedule(1, step, nil, 0)
 		}
 	}
-	k.Schedule(1, step)
+	k.Schedule(1, step, nil, 0)
 	if err := k.Run(0); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -98,7 +115,7 @@ func TestChainedScheduling(t *testing.T) {
 func TestRunLimit(t *testing.T) {
 	k := New()
 	fired := false
-	k.Schedule(50, func() { fired = true })
+	k.Schedule(50, fnActor(func() { fired = true }), nil, 0)
 	if err := k.Run(10); err != ErrLimit {
 		t.Fatalf("Run(10) err = %v, want ErrLimit", err)
 	}
@@ -121,7 +138,7 @@ func TestRunUntil(t *testing.T) {
 	k := New()
 	n := 0
 	for i := 1; i <= 10; i++ {
-		k.Schedule(uint64(i), func() { n++ })
+		k.Schedule(uint64(i), fnActor(func() { n++ }), nil, 0)
 	}
 	err := k.RunUntil(0, func() bool { return n == 3 })
 	if err != nil {
@@ -137,31 +154,31 @@ func TestRunUntil(t *testing.T) {
 
 func TestRunUntilDrained(t *testing.T) {
 	k := New()
-	k.Schedule(1, func() {})
+	k.Schedule(1, fnActor(func() {}), nil, 0)
 	if err := k.RunUntil(0, func() bool { return false }); err == nil {
 		t.Fatal("expected error when queue drains before condition holds")
 	}
 }
 
-// At/AtActor with when < Now() clamp to now: the event fires later in the
+// At with when < Now() clamps to now: the event fires later in the
 // current cycle, after everything already scheduled for it — identical to
-// Schedule(0). Protocol layers compute absolute deadlines (FIFO floor +
-// latency) whose floor may already have passed; the clamp makes that
+// Schedule(0, ...). Protocol layers compute absolute deadlines (FIFO floor
+// + latency) whose floor may already have passed; the clamp makes that
 // well-defined.
 func TestSchedulePastClampsToNow(t *testing.T) {
 	k := New()
 	var order []string
-	k.Schedule(10, func() {
-		k.Schedule(0, func() { order = append(order, "zero-delay") })
-		k.At(5, func() {
+	k.Schedule(10, fnActor(func() {
+		k.Schedule(0, fnActor(func() { order = append(order, "zero-delay") }), nil, 0)
+		k.At(5, fnActor(func() {
 			order = append(order, "clamped")
 			if k.Now() != 10 {
 				t.Errorf("clamped event fired at %d, want 10", k.Now())
 			}
-		})
-	})
+		}), nil, 0)
+	}), nil, 0)
 	a := &recordingActor{}
-	k.Schedule(20, func() { k.AtActor(3, a, nil, 77) })
+	k.Schedule(20, fnActor(func() { k.At(3, a, nil, 77) }), nil, 0)
 	if err := k.Run(0); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -179,20 +196,11 @@ func TestSchedulePastClampsToNow(t *testing.T) {
 	}
 }
 
-func TestNilEventPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("nil event function did not panic")
-		}
-	}()
-	New().Schedule(1, nil)
-}
-
 func TestStep(t *testing.T) {
 	k := New()
 	n := 0
-	k.Schedule(2, func() { n++ })
-	k.Schedule(4, func() { n++ })
+	k.Schedule(2, fnActor(func() { n++ }), nil, 0)
+	k.Schedule(4, fnActor(func() { n++ }), nil, 0)
 	if !k.Step() {
 		t.Fatal("Step returned false with pending events")
 	}
@@ -222,7 +230,7 @@ func TestPropertyOrdering(t *testing.T) {
 		var got []rec
 		for i, d := range delays {
 			i, d := i, uint64(d)
-			k.Schedule(d, func() { got = append(got, rec{k.Now(), i}) })
+			k.Schedule(d, fnActor(func() { got = append(got, rec{k.Now(), i}) }), nil, 0)
 		}
 		if err := k.Run(0); err != nil {
 			return false
@@ -251,10 +259,10 @@ func TestPropertyOrdering(t *testing.T) {
 func TestMigrationPreservesSeqOrder(t *testing.T) {
 	k := New()
 	var order []int
-	k.At(2000, func() { order = append(order, 0) }) // seq 0: 2000 cycles out -> heap
-	k.At(1500, func() {                             // seq 1: also heap at push time
-		k.At(2000, func() { order = append(order, 1) }) // seq 2: 500 out -> wheel direct
-	})
+	k.At(2000, fnActor(func() { order = append(order, 0) }), nil, 0) // seq 0: 2000 cycles out -> heap
+	k.At(1500, fnActor(func() {                                      // seq 1: also heap at push time
+		k.At(2000, fnActor(func() { order = append(order, 1) }), nil, 0) // seq 2: 500 out -> wheel direct
+	}), nil, 0)
 	if err := k.Run(0); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -274,14 +282,14 @@ func TestWheelHeapIdenticalOrder(t *testing.T) {
 		var got [][2]uint64
 		for i, d := range delays {
 			i, d := uint64(i), uint64(d)
-			k.Schedule(d, func() {
+			k.Schedule(d, fnActor(func() {
 				got = append(got, [2]uint64{k.Now(), i})
 				if d%3 == 0 {
-					k.Schedule(d/2+1500, func() {
+					k.Schedule(d/2+1500, fnActor(func() {
 						got = append(got, [2]uint64{k.Now(), 1<<32 | i})
-					})
+					}), nil, 0)
 				}
-			})
+			}), nil, 0)
 		}
 		if err := k.Run(0); err != nil {
 			t.Fatalf("Run: %v", err)
@@ -300,8 +308,8 @@ func TestWheelHeapIdenticalOrder(t *testing.T) {
 // those batch skips.
 func TestBatchSkipTelemetry(t *testing.T) {
 	k := New()
-	k.Schedule(100, func() {})
-	k.Schedule(700, func() {})
+	k.Schedule(100, fnActor(func() {}), nil, 0)
+	k.Schedule(700, fnActor(func() {}), nil, 0)
 	if err := k.Run(0); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -315,8 +323,8 @@ func TestBatchSkipTelemetry(t *testing.T) {
 
 func TestStateRoundTrip(t *testing.T) {
 	k := New()
-	k.Schedule(5, func() {})
-	k.Schedule(2000, func() {})
+	k.Schedule(5, fnActor(func() {}), nil, 0)
+	k.Schedule(2000, fnActor(func() {}), nil, 0)
 	if _, err := k.State(); err != ErrNotQuiescent {
 		t.Fatalf("State with pending events: err = %v, want ErrNotQuiescent", err)
 	}
@@ -334,8 +342,8 @@ func TestStateRoundTrip(t *testing.T) {
 	// Restore into a kernel with pending garbage in both tiers: the
 	// garbage is dropped, and future behavior matches the source kernel.
 	k2 := New()
-	k2.Schedule(1, func() { t.Error("dropped wheel event fired") })
-	k2.At(99999, func() { t.Error("dropped heap event fired") })
+	k2.Schedule(1, fnActor(func() { t.Error("dropped wheel event fired") }), nil, 0)
+	k2.At(99999, fnActor(func() { t.Error("dropped heap event fired") }), nil, 0)
 	k2.SetState(st)
 	if k2.Pending() != 0 {
 		t.Fatalf("Pending = %d after SetState, want 0", k2.Pending())
@@ -344,7 +352,7 @@ func TestStateRoundTrip(t *testing.T) {
 		t.Fatalf("restored now=%d executed=%d, want 2000/2", k2.Now(), k2.Executed())
 	}
 	var at uint64
-	k2.Schedule(3, func() { at = k2.Now() })
+	k2.Schedule(3, fnActor(func() { at = k2.Now() }), nil, 0)
 	if err := k2.Run(0); err != nil {
 		t.Fatalf("Run after restore: %v", err)
 	}
@@ -359,7 +367,7 @@ func TestRunLimitAcrossWheelHorizon(t *testing.T) {
 	k := New()
 	var times []uint64
 	for _, d := range []uint64{500, 1500, 3000, 3000, 9000} {
-		k.Schedule(d, func() { times = append(times, k.Now()) })
+		k.Schedule(d, fnActor(func() { times = append(times, k.Now()) }), nil, 0)
 	}
 	for _, limit := range []uint64{200, 600, 2500, 3000, 5000} {
 		if err := k.Run(limit); err != ErrLimit {
@@ -380,15 +388,15 @@ func TestRunLimitAcrossWheelHorizon(t *testing.T) {
 
 func BenchmarkKernelChain(b *testing.B) {
 	k := New()
-	var step func()
+	var step fnActor
 	n := 0
 	step = func() {
 		n++
 		if n < b.N {
-			k.Schedule(1, step)
+			k.Schedule(1, step, nil, 0)
 		}
 	}
-	k.Schedule(1, step)
+	k.Schedule(1, step, nil, 0)
 	b.ResetTimer()
 	if err := k.Run(0); err != nil {
 		b.Fatal(err)

@@ -120,8 +120,8 @@ func (b *Bank) observeOcc(addr memtypes.Addr) {
 // CBDir exposes the callback directory (nil in back-off mode) for stats.
 func (b *Bank) CBDir() *core.Directory { return b.cbdir }
 
-// Bank event stages, passed as the arg of Act. Every event but evWake
-// carries the request message it serves as data.
+// Bank event stages, passed as the arg of Act. Every event carries the
+// request message it serves.
 const (
 	evFill      = iota // line read done: send the fill, release the line
 	evWTAck            // write-through absorbed: ack it, release the line
@@ -129,7 +129,6 @@ const (
 	evWriteAck         // racy write's LLC access done: ack, release the line
 	evRMW              // atomic's LLC access done: execute it, release the line
 	evConsultCB        // callback-directory read of a ld_cb (or RMW ld_cb half) done
-	evWake             // delayed wake; data is a *wakeEvent
 )
 
 // withLine runs msg's line-locked step under the lock of msg's line, or
@@ -193,22 +192,13 @@ func (b *Bank) locked(msg *memtypes.Message) {
 func (b *Bank) access(msg *memtypes.Message, addr memtypes.Addr, ev uint64) {
 	lat := b.accessLat(addr, true, msg.Req.SyncPhase())
 	cycles.Span(b.obs, b.k.Now(), b.k.Now()+lat, msg.Core, cycles.CatLLCStall)
-	b.k.ScheduleActor(lat, b, msg, ev)
+	b.k.Schedule(lat, b, msg, ev)
 }
 
 // Act fires one of the bank's scheduled events (implements sim.Actor).
 //
 //cbsim:hotpath
-func (b *Bank) Act(data any, ev uint64) {
-	if ev == evWake {
-		w := data.(*wakeEvent)
-		cores, addr, value := w.cores, w.addr, w.value
-		*w = wakeEvent{}
-		b.freeWakes = append(b.freeWakes, w)
-		b.wake(cores, addr, value, false)
-		return
-	}
-	msg := data.(*memtypes.Message)
+func (b *Bank) Act(msg *memtypes.Message, ev uint64) {
 	line := msg.Addr.Line()
 	switch ev {
 	case evFill:
@@ -287,7 +277,7 @@ func (b *Bank) writeLine(msg *memtypes.Message) {
 		}
 	}
 	lat := b.accessLat(msg.Addr, true, 0)
-	b.k.ScheduleActor(lat, b, msg, evWTAck)
+	b.k.Schedule(lat, b, msg, evWTAck)
 }
 
 func (b *Bank) handleRacy(msg *memtypes.Message) {
@@ -340,7 +330,7 @@ func (b *Bank) readThrough(msg *memtypes.Message) {
 func (b *Bank) callbackRead(msg *memtypes.Message) {
 	b.stats.CBDirAccesses++
 	cycles.Span(b.obs, b.k.Now(), b.k.Now()+b.cbdirLat, msg.Core, cycles.CatCoherenceStall)
-	b.k.ScheduleActor(b.cbdirLat, b, msg, evConsultCB)
+	b.k.Schedule(b.cbdirLat, b, msg, evConsultCB)
 }
 
 // consultCB performs the callback-directory read of a ld_cb or of an
@@ -395,7 +385,7 @@ func (b *Bank) rmw(msg *memtypes.Message) {
 	if b.cbdir != nil && req.RMWLdCB {
 		b.stats.CBDirAccesses++
 		cycles.Span(b.obs, b.k.Now(), b.k.Now()+b.cbdirLat, msg.Core, cycles.CatCoherenceStall)
-		b.k.ScheduleActor(b.cbdirLat, b, msg, evConsultCB)
+		b.k.Schedule(b.cbdirLat, b, msg, evConsultCB)
 		return
 	}
 	if b.cbdir != nil {

@@ -49,11 +49,23 @@ func (b *Bank) spuriousWake(addr memtypes.Addr) {
 }
 
 // wakeEvent is a wake in flight between a write and its delivery (see
-// wakeAfter): the evWake event's data.
+// wakeAfter). It is its own actor: firing it recycles the record into
+// its bank's free list and services the wakes.
 type wakeEvent struct {
+	b     *Bank
 	cores []int
 	addr  memtypes.Addr
 	value uint64
+}
+
+// Act delivers the delayed wake (implements sim.Actor).
+//
+//cbsim:hotpath
+func (w *wakeEvent) Act(*memtypes.Message, uint64) {
+	b, cores, addr, value := w.b, w.cores, w.addr, w.value
+	*w = wakeEvent{}
+	b.freeWakes = append(b.freeWakes, w)
+	b.wake(cores, addr, value, false)
 }
 
 // wakeAfter services wakes delay cycles from now; chaos may stretch the
@@ -78,8 +90,8 @@ func (b *Bank) wakeAfter(delay uint64, cores []int, addr memtypes.Addr, value ui
 	} else {
 		w = &wakeEvent{} //cbvet:alloc-ok free-list growth, bounded by the peak number of wakes in flight
 	}
-	*w = wakeEvent{cores: cores, addr: addr, value: value}
-	b.k.ScheduleActor(delay, b, w, evWake)
+	*w = wakeEvent{b: b, cores: cores, addr: addr, value: value}
+	b.k.Schedule(delay, w, nil, 0)
 }
 
 // accessLat returns the LLC access latency for addr, plus chaos jitter.

@@ -128,13 +128,13 @@ func (l *L1) respond(delay uint64, resp memtypes.Response) {
 	}
 	l.resp, l.respTo = resp, l.pending.done
 	l.pending = pendingOp{}
-	l.k.ScheduleActor(delay, l, nil, 0)
+	l.k.Schedule(delay, l, nil, 0)
 }
 
 // Act delivers the response slot to its core (implements sim.Actor).
 //
 //cbsim:hotpath
-func (l *L1) Act(any, uint64) {
+func (l *L1) Act(*memtypes.Message, uint64) {
 	done := l.respTo
 	l.respTo = nil
 	done.Complete(l.resp)
