@@ -269,9 +269,10 @@ func runTTASMicro(b *testing.B, cfgMod func(*machine.Config), lockMod func(*sync
 	f := synclib.FlavorCBOne
 	for tid := 0; tid < cores; tid++ {
 		pb := isa.NewBuilder()
+		loop := pb.NewLabel()
 		lock.EmitInit(pb, f, tid)
 		pb.Imm(isa.R1, iters)
-		pb.Label("loop")
+		pb.Bind(loop)
 		pb.Compute(uint64(500 + tid*113%1500))
 		lock.EmitAcquire(pb, f, tid)
 		pb.Imm(isa.R2, uint64(counter))
@@ -281,7 +282,7 @@ func runTTASMicro(b *testing.B, cfgMod func(*machine.Config), lockMod func(*sync
 		pb.Compute(100)
 		lock.EmitRelease(pb, f, tid)
 		pb.Addi(isa.R1, isa.R1, ^uint64(0))
-		pb.Bnez(isa.R1, "loop")
+		pb.Bnez(isa.R1, loop)
 		pb.Done()
 		m.Load(tid, pb.MustBuild(), nil)
 	}
@@ -357,8 +358,9 @@ func BenchmarkAblationEviction(b *testing.B) {
 		for tid := 0; tid < cores; tid++ {
 			lock := locks[tid%nLocks]
 			pb := isa.NewBuilder()
+			loop := pb.NewLabel()
 			pb.Imm(isa.R1, iters)
-			pb.Label("loop")
+			pb.Bind(loop)
 			pb.Compute(uint64(200 + tid*97%900))
 			lock.EmitAcquire(pb, f, tid)
 			pb.Imm(isa.R2, uint64(counter))
@@ -367,7 +369,7 @@ func BenchmarkAblationEviction(b *testing.B) {
 			pb.St(isa.R2, 0, isa.R3)
 			lock.EmitRelease(pb, f, tid)
 			pb.Addi(isa.R1, isa.R1, ^uint64(0))
-			pb.Bnez(isa.R1, "loop")
+			pb.Bnez(isa.R1, loop)
 			pb.Done()
 			m.Load(tid, pb.MustBuild(), nil)
 		}

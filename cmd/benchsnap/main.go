@@ -30,6 +30,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/replay"
 	"repro/internal/sim"
+	"repro/internal/synclib"
 	"repro/internal/workload"
 )
 
@@ -151,6 +152,22 @@ func run(out string, cores int, benches []string) error {
 			m := machine.New(machine.Default(machine.ProtocolCallback), nil)
 			if m.Mesh.Nodes() != 64 {
 				b.Fatal("bad machine")
+			}
+		}
+	}))
+
+	// Program generation for one 64-core cell: fft under CB-All with the
+	// scalable locks and barrier, the per-cell set-up that runs before a
+	// machine is loaded.
+	genP, err := workload.ByName("fft")
+	if err != nil {
+		return err
+	}
+	snap.Benchmarks["generate_64"] = record(testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if g := workload.Generate(genP, 64, workload.StyleScalable, synclib.FlavorCBAll); len(g.Programs) != 64 {
+				b.Fatal("bad workload")
 			}
 		}
 	}))

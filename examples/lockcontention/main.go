@@ -33,9 +33,10 @@ func run(mkLock func(*synclib.Layout, int) synclib.Lock, s experiments.Setup) ma
 	}
 	for tid := 0; tid < cores; tid++ {
 		b := isa.NewBuilder()
+		loop := b.NewLabel()
 		lock.EmitInit(b, f, tid)
 		b.Imm(isa.R1, iters)
-		b.Label("loop")
+		b.Bind(loop)
 		b.Compute(uint64(500 + 137*tid%900)) // staggered think time
 		lock.EmitAcquire(b, f, tid)
 		b.Imm(isa.R2, uint64(counter))
@@ -45,7 +46,7 @@ func run(mkLock func(*synclib.Layout, int) synclib.Lock, s experiments.Setup) ma
 		b.Compute(100)
 		lock.EmitRelease(b, f, tid)
 		b.Addi(isa.R1, isa.R1, ^uint64(0))
-		b.Bnez(isa.R1, "loop")
+		b.Bnez(isa.R1, loop)
 		b.Done()
 		m.Load(tid, b.MustBuild(), nil)
 	}

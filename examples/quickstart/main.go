@@ -39,19 +39,20 @@ func spinWait(p machine.Protocol, useCallback bool) machine.Stats {
 	// the guard ld_through + ld_cb loop of Section 3.3; the baseline
 	// re-reads the LLC forever.
 	b := isa.NewBuilder()
+	spin, exit := b.NewLabel(), b.NewLabel()
 	b.Imm(isa.R1, uint64(flag))
 	b.SyncBegin(isa.SyncWait)
 	if useCallback {
-		b.Label("spin")
+		b.Bind(spin)
 		b.LdThrough(isa.R2, isa.R1, 0)
-		b.Bnez(isa.R2, "exit")
+		b.Bnez(isa.R2, exit)
 		b.LdCB(isa.R2, isa.R1, 0)
-		b.Beqz(isa.R2, "spin")
-		b.Label("exit")
+		b.Beqz(isa.R2, spin)
+		b.Bind(exit)
 	} else {
-		b.Label("spin")
+		b.Bind(spin)
 		b.LdThrough(isa.R2, isa.R1, 0)
-		b.Beqz(isa.R2, "spin")
+		b.Beqz(isa.R2, spin)
 	}
 	b.SyncEnd(isa.SyncWait)
 	b.Done()

@@ -33,24 +33,26 @@ func run(f synclib.Flavor) machine.Stats {
 
 	// Core 0 produces waiters*perWaiter signals, spaced apart.
 	pb := isa.NewBuilder()
+	loop := pb.NewLabel()
 	pb.Imm(isa.R1, waiters*perWaiter)
-	pb.Label("loop")
+	pb.Bind(loop)
 	pb.Compute(400)
 	sw.EmitSignal(pb, f)
 	pb.Addi(isa.R1, isa.R1, ^uint64(0))
-	pb.Bnez(isa.R1, "loop")
+	pb.Bnez(isa.R1, loop)
 	pb.Done()
 	m.Load(0, pb.MustBuild(), nil)
 
 	// The rest wait for their share.
 	for w := 1; w <= waiters; w++ {
 		wb := isa.NewBuilder()
+		loop := wb.NewLabel()
 		wb.Imm(isa.R1, perWaiter)
-		wb.Label("loop")
+		wb.Bind(loop)
 		sw.EmitWait(wb, f)
 		wb.Compute(50)
 		wb.Addi(isa.R1, isa.R1, ^uint64(0))
-		wb.Bnez(isa.R1, "loop")
+		wb.Bnez(isa.R1, loop)
 		wb.Done()
 		m.Load(w, wb.MustBuild(), nil)
 	}

@@ -1,6 +1,14 @@
 // Package cache provides the generic set-associative storage used by the
 // L1 caches and LLC banks of every protocol: a tag array with true-LRU
 // replacement and per-line protocol payload.
+//
+// An array allocates only its set headers and occupancy masks up front;
+// each set's lines are allocated the first time a line is placed in it
+// (Victim, Allocate or SetState). A 64-core machine carries 16 MB of LLC
+// capacity, of which a typical cell touches a few hundred lines, so
+// backing sets on first use keeps machine construction and warm-start
+// restore proportional to what a cell actually uses. An unbacked set
+// behaves exactly like a set of invalid ways.
 package cache
 
 import (
@@ -25,6 +33,7 @@ type Line[P any] struct {
 // replacement. P is the per-line protocol state (MESI state, VIPS dirty
 // mask, ...).
 type Array[P any] struct {
+	// sets[s] is nil until set s first receives a line; see backed.
 	sets    [][]Line[P]
 	assoc   int
 	setBits int
@@ -32,12 +41,11 @@ type Array[P any] struct {
 
 	// occ[s] is the set's valid-way bitmask (bit w = way w holds a valid
 	// line). It exists for the scans — Digest, State, CountValid — which
-	// would otherwise touch every way of every set: an LLC bank keeps
-	// 4096 mostly-invalid line slots, and a replay digest scans every
-	// bank of the machine each mark. The mask lets those skip empty sets
-	// without pulling the line backing into cache. Maintained by
-	// Allocate/Invalidate/SetState and re-synced by ForEach (whose
-	// visitor may clear Valid).
+	// would otherwise touch every way of every backed set, and a replay
+	// digest scans every bank of the machine each mark. The mask lets
+	// those skip empty sets without pulling the line backing into cache.
+	// Maintained by Allocate/Invalidate/SetState and re-synced by ForEach
+	// (whose visitor may clear Valid).
 	occ []uint64
 
 	// Accesses counts Lookup calls; Hits counts those that hit.
@@ -63,13 +71,8 @@ func NewArray[P any](totalBytes, assoc int) *Array[P] {
 	if numSets&(numSets-1) != 0 {
 		panic(fmt.Sprintf("cache: number of sets %d must be a power of two", numSets))
 	}
-	sets := make([][]Line[P], numSets)
-	backing := make([]Line[P], lines)
-	for i := range sets {
-		sets[i], backing = backing[:assoc:assoc], backing[assoc:]
-	}
 	return &Array[P]{
-		sets:    sets,
+		sets:    make([][]Line[P], numSets),
 		assoc:   assoc,
 		setBits: bits.TrailingZeros(uint(numSets)),
 		occ:     make([]uint64, numSets),
@@ -120,11 +123,24 @@ func (a *Array[P]) Peek(addr memtypes.Addr) *Line[P] {
 	return nil
 }
 
+// backed returns set s, allocating its lines on first use.
+//
+//cbsim:hotpath
+func (a *Array[P]) backed(s int) []Line[P] {
+	if a.sets[s] == nil {
+		//cbvet:alloc-ok once per set per array lifetime: sets are backed on first use so an untouched set costs no memory
+		a.sets[s] = make([]Line[P], a.assoc)
+	}
+	return a.sets[s]
+}
+
 // victimWay returns the (set, way) Allocate would replace for addr: an
-// invalid way if one exists, otherwise the LRU way.
+// invalid way if one exists, otherwise the LRU way. It backs the set.
+//
+//cbsim:hotpath
 func (a *Array[P]) victimWay(addr memtypes.Addr) (int, int) {
 	s := a.setIndex(addr)
-	set := a.sets[s]
+	set := a.backed(s)
 	victim := 0
 	for i := range set {
 		if !set[i].Valid {
@@ -139,7 +155,8 @@ func (a *Array[P]) victimWay(addr memtypes.Addr) (int, int) {
 
 // Victim returns the line that Allocate would replace for addr: an invalid
 // way if one exists, otherwise the LRU way. The returned line may be valid
-// (the caller must write it back or invalidate it before reuse).
+// (the caller must write it back or invalidate it before reuse). Victim
+// backs addr's set if it was not yet.
 //
 //cbsim:hotpath
 func (a *Array[P]) Victim(addr memtypes.Addr) *Line[P] {

@@ -2,6 +2,8 @@ package cache
 
 import (
 	"math/rand"
+	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -157,5 +159,90 @@ func BenchmarkLookupHit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a.Lookup(0x40)
+	}
+}
+
+// TestNewArrayBacksNoLines pins that construction allocates only the set
+// headers and occupancy masks: an LLC bank's 256 KB of line capacity is
+// backed set by set as lines arrive.
+func TestNewArrayBacksNoLines(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	a := NewArray[testState](256*1024, 16)
+	runtime.ReadMemStats(&after)
+	if bytes := after.TotalAlloc - before.TotalAlloc; bytes >= 64*1024 {
+		t.Fatalf("fresh 256 KB 16-way array allocates %d bytes, want < 64 KB", bytes)
+	}
+	if a.Sets() != 256 {
+		t.Fatalf("sets = %d, want 256", a.Sets())
+	}
+}
+
+// TestUnbackedSets checks that a set with no line storage behaves as a
+// set of invalid ways, that placing a line backs it, and that snapshots
+// round-trip through arrays with different backed sets.
+func TestUnbackedSets(t *testing.T) {
+	a := NewArray[testState](4096, 4) // 16 sets
+	if a.Lookup(0x40) != nil || a.Peek(0x40) != nil || a.Invalidate(0x40) {
+		t.Fatal("unbacked set reported a line")
+	}
+	if a.Accesses != 1 || a.Hits != 0 {
+		t.Fatalf("accesses=%d hits=%d after a miss, want 1/0", a.Accesses, a.Hits)
+	}
+	if v := a.Victim(0x80); v == nil || v.Valid {
+		t.Fatalf("victim in an unbacked set = %+v, want an invalid way", v)
+	}
+	if a.sets[a.setIndex(0x80)] == nil {
+		t.Fatal("Victim did not back its set")
+	}
+	l, ev := a.Allocate(0x40)
+	if ev != nil {
+		t.Fatal("eviction from an unbacked set")
+	}
+	l.State.v = 7
+	l.Data[1] = 11
+	a.Allocate(0x440) // same set as 0x40 (16 sets of 64 B)
+	if got := a.Lookup(0x40); got == nil || got.State.v != 7 || got.Data[1] != 11 {
+		t.Fatalf("lookup after allocate = %+v", got)
+	}
+
+	// State into a fresh array: same lines, same digest-relevant state.
+	st := a.State()
+	b := NewArray[testState](4096, 4)
+	b.SetState(st)
+	if !reflect.DeepEqual(b.State(), st) {
+		t.Fatalf("round trip: got %+v, want %+v", b.State(), st)
+	}
+	for s := range b.sets {
+		if b.sets[s] != nil && b.occ[s] == 0 {
+			t.Fatalf("SetState backed set %d with no line in it", s)
+		}
+	}
+
+	// SetState on a used array leaves nothing of its old contents.
+	c := NewArray[testState](4096, 4)
+	for _, ad := range []memtypes.Addr{0x40, 0x80, 0xc0, 0x440, 0x840} {
+		l, _ := c.Allocate(ad)
+		l.State.v = 99
+	}
+	c.SetState(st)
+	if !reflect.DeepEqual(c.State(), st) {
+		t.Fatalf("restore over a used array: got %+v, want %+v", c.State(), st)
+	}
+	if c.Peek(0x80) != nil || c.Peek(0xc0) != nil || c.Peek(0x840) != nil {
+		t.Fatal("stale line survived SetState")
+	}
+	for s, set := range c.sets {
+		for w := range set {
+			if set[w].Valid != (c.occ[s]&(1<<w) != 0) {
+				t.Fatalf("set %d way %d: Valid=%v disagrees with the occupancy mask", s, w, set[w].Valid)
+			}
+			if !set[w].Valid && set[w] != (Line[testState]{}) {
+				t.Fatalf("set %d way %d: invalid way keeps stale content %+v", s, w, set[w])
+			}
+		}
+	}
+	if c.CountValid() != 2 {
+		t.Fatalf("CountValid = %d after restore, want 2", c.CountValid())
 	}
 }

@@ -6,9 +6,9 @@ import "math/bits"
 // warm-starts (machine.Snapshot). Only the mutable state is captured —
 // valid lines (including their unexported LRU stamps), the LRU tick, and
 // the access counters; geometry is structural and must match at restore.
-// Capturing valid lines only keeps zero-state snapshots tiny (a fresh
-// 64-core machine holds ~26MB of line backing, all invalid), and restore
-// of such a snapshot degenerates to a memclr.
+// Capturing valid lines only keeps zero-state snapshots tiny, and since
+// sets are backed on first use, restoring one clears only the sets the
+// previous run touched rather than the whole capacity.
 
 // SavedLine locates one valid line by its physical position so restore
 // reproduces way placement (and therefore future victim choice) exactly.
@@ -43,14 +43,15 @@ func (a *Array[P]) State() ArrayState[P] {
 
 // SetState overwrites the array's mutable state with a previously
 // captured one. The array must have the geometry the state was captured
-// from; out-of-range positions panic.
+// from; out-of-range positions panic. Only backed sets are cleared, and
+// only the sets the state places lines in are newly backed.
 func (a *Array[P]) SetState(st ArrayState[P]) {
-	for s := range a.sets {
-		clear(a.sets[s])
+	for _, set := range a.sets {
+		clear(set)
 	}
 	clear(a.occ)
 	for _, sl := range st.Lines {
-		a.sets[sl.Set][sl.Way] = sl.Line
+		a.backed(sl.Set)[sl.Way] = sl.Line
 		if sl.Line.Valid {
 			a.occ[sl.Set] |= 1 << sl.Way
 		}

@@ -16,6 +16,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/memtypes"
 )
@@ -24,6 +25,11 @@ import (
 // ("just four entries per bank... more entries without any noticeable
 // change in our results").
 const DefaultEntries = 4
+
+// maxCores bounds a directory's core count so that a set of cores fits
+// one uint64 mask (bit c = core c): Write and Eviction hand the cores to
+// wake over as such a mask, which costs no allocation.
+const maxCores = 64
 
 // ReadResult is the outcome of a callback read at the directory.
 type ReadResult uint8
@@ -104,11 +110,12 @@ func (e *entry) anyCB() bool {
 	return false
 }
 
-func (e *entry) waiters() []int {
-	var w []int
+// waiters returns the cores with a pending callback as a core mask.
+func (e *entry) waiters() uint64 {
+	var w uint64
 	for i, c := range e.cb {
 		if c {
-			w = append(w, i)
+			w |= 1 << i
 		}
 	}
 	return w
@@ -169,8 +176,8 @@ func New(entries, cores int) *Directory {
 	if entries <= 0 {
 		entries = DefaultEntries
 	}
-	if cores <= 0 {
-		panic("core: cores must be positive")
+	if cores <= 0 || cores > maxCores {
+		panic(fmt.Sprintf("core: %d cores, want 1..%d", cores, maxCores))
 	}
 	return &Directory{entries: make([]entry, entries), cores: cores}
 }
@@ -235,8 +242,10 @@ func (d *Directory) find(addr memtypes.Addr) *entry {
 // Eviction describes a replaced entry whose waiting callbacks must be
 // answered with the current value (Section 2.3.1).
 type Eviction struct {
-	Addr    memtypes.Addr
-	Waiters []int
+	Addr memtypes.Addr
+	// Waiters is the mask of cores whose callbacks the eviction
+	// answers (bit c = core c).
+	Waiters uint64
 }
 
 // victim selects the entry to replace: an invalid entry if any, else the
@@ -271,7 +280,7 @@ func (d *Directory) install(addr memtypes.Addr) (*entry, *Eviction) {
 	if e.valid {
 		d.stats.Evictions++
 		w := e.waiters()
-		d.stats.StaleWakes += uint64(len(w))
+		d.stats.StaleWakes += uint64(bits.OnesCount64(w))
 		ev = &Eviction{Addr: e.addr, Waiters: w}
 	}
 	e.reset(d.tag(addr), d.cores)
@@ -345,9 +354,9 @@ func (d *Directory) ReadThrough(core int, addr memtypes.Addr) {
 }
 
 // Write processes a racy write on addr with the given callback-service
-// semantics and returns the cores to wake (their CB bits are cleared).
-// Writes never install entries; a write with no matching entry wakes
-// nobody.
+// semantics and returns the mask of cores to wake (bit c = core c; their
+// CB bits are cleared). Writes never install entries; a write with no
+// matching entry wakes nobody.
 //
 // Semantics per Section 2.3-2.5:
 //
@@ -362,26 +371,26 @@ func (d *Directory) ReadThrough(core int, addr memtypes.Addr) {
 //     optimization of Figure 6).
 //
 //cbsim:hotpath
-func (d *Directory) Write(addr memtypes.Addr, mode memtypes.CBWrite) []int {
+func (d *Directory) Write(addr memtypes.Addr, mode memtypes.CBWrite) uint64 {
 	e := d.find(addr)
 	if e == nil {
-		return nil
+		return 0
 	}
 	d.stats.Writes++
 	switch mode {
 	case memtypes.CBAll:
 		e.one = false
-		var wake []int
+		var wake uint64
 		for i := range e.cb {
 			if e.cb[i] {
 				e.cb[i] = false
 				e.fe[i] = false // woken cores consume this write
-				wake = append(wake, i)
+				wake |= 1 << i
 			} else {
 				e.fe[i] = true
 			}
 		}
-		d.stats.Wakes += uint64(len(wake))
+		d.stats.Wakes += uint64(bits.OnesCount64(wake))
 		return wake
 
 	case memtypes.CBOne:
@@ -394,18 +403,14 @@ func (d *Directory) Write(addr memtypes.Addr, mode memtypes.CBWrite) []int {
 			// No waiters: the value is available to exactly one
 			// future read.
 			e.setAllFE(true)
-			return nil
+			return 0
 		}
 		e.cb[victim] = false
 		// F/E bits stay undisturbed (empty): the write was consumed
 		// by the woken callback (Figure 4, step 9).
 		e.setAllFE(false)
 		d.stats.Wakes++
-		// The wake list is handed to a scheduled closure, so a reusable
-		// scratch buffer would alias across cycles; CBAll builds its
-		// list with append the same way.
-		//cbvet:alloc-ok wake list escapes to a scheduled closure
-		return []int{victim}
+		return 1 << victim
 
 	case memtypes.CBZero:
 		if !e.one {
@@ -415,7 +420,7 @@ func (d *Directory) Write(addr memtypes.Addr, mode memtypes.CBWrite) []int {
 			// consume until the release.
 			e.setAllFE(false)
 		}
-		return nil
+		return 0
 	}
 	panic(fmt.Sprintf("core: unknown CBWrite %d", mode))
 }
@@ -498,7 +503,7 @@ func (d *Directory) ForceEvict(pick int) *Eviction {
 		}
 		d.stats.Evictions++
 		w := e.waiters()
-		d.stats.StaleWakes += uint64(len(w))
+		d.stats.StaleWakes += uint64(bits.OnesCount64(w))
 		e.valid = false
 		return &Eviction{Addr: e.addr, Waiters: w}
 	}

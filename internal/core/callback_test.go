@@ -51,7 +51,7 @@ func TestFigure3Steps(t *testing.T) {
 	// Step 3: core 3 writes; both callbacks are serviced, and the F/E
 	// bits of the cores that did NOT have a callback (1 and 3) are set
 	// to full.
-	wake := d.Write(addrA, memtypes.CBAll)
+	wake := coreList(d.Write(addrA, memtypes.CBAll))
 	if !reflect.DeepEqual(wake, []int{0, 2}) {
 		t.Fatalf("step 3: wake=%v, want [0 2]", wake)
 	}
@@ -82,7 +82,7 @@ func TestFigure3Steps(t *testing.T) {
 	small.CallbackRead(0, addrA)
 	small.CallbackRead(0, addrA) // blocks: CB[0] set
 	_, ev := small.CallbackRead(1, addrB)
-	if ev == nil || ev.Addr != addrA.Word() || !reflect.DeepEqual(ev.Waiters, []int{0}) {
+	if ev == nil || ev.Addr != addrA.Word() || !reflect.DeepEqual(coreList(ev.Waiters), []int{0}) {
 		t.Fatalf("step 5: eviction = %+v, want waiter 0 on %s", ev, addrA)
 	}
 
@@ -139,7 +139,7 @@ func TestFigure4LockHandoff(t *testing.T) {
 
 	// Step 6: core 2 releases with write_CB1: exactly one wake (core 3),
 	// F/E bits left undisturbed (empty).
-	wake := d.Write(addrA, memtypes.CBOne)
+	wake := coreList(d.Write(addrA, memtypes.CBOne))
 	if !reflect.DeepEqual(wake, []int{3}) {
 		t.Fatalf("step 6: wake=%v, want [3]", wake)
 	}
@@ -150,14 +150,14 @@ func TestFigure4LockHandoff(t *testing.T) {
 
 	// Core 3 releases: round-robin proceeds to core 0, then core 1 —
 	// grant order 2,3,0,1 overall.
-	if wake := d.Write(addrA, memtypes.CBOne); !reflect.DeepEqual(wake, []int{0}) {
+	if wake := coreList(d.Write(addrA, memtypes.CBOne)); !reflect.DeepEqual(wake, []int{0}) {
 		t.Fatalf("second release: wake=%v, want [0]", wake)
 	}
-	if wake := d.Write(addrA, memtypes.CBOne); !reflect.DeepEqual(wake, []int{1}) {
+	if wake := coreList(d.Write(addrA, memtypes.CBOne)); !reflect.DeepEqual(wake, []int{1}) {
 		t.Fatalf("third release: wake=%v, want [1]", wake)
 	}
 	// Final release with no waiters returns the entry to all-full.
-	if wake := d.Write(addrA, memtypes.CBOne); wake != nil {
+	if wake := coreList(d.Write(addrA, memtypes.CBOne)); wake != nil {
 		t.Fatalf("final release: wake=%v, want none", wake)
 	}
 	fe, _, _, _ = d.EntryState(addrA)
@@ -189,7 +189,7 @@ func TestFigure5PrematureWake(t *testing.T) {
 	// Step 4: core 2's RMW write is a write_CB1 -> premature wake of
 	// core 3 (the pseudo-random pointer is at 3 in the example).
 	d.SetWakePointer(addrA, 3)
-	wake := d.Write(addrA, memtypes.CBOne)
+	wake := coreList(d.Write(addrA, memtypes.CBOne))
 	if !reflect.DeepEqual(wake, []int{3}) {
 		t.Fatalf("RMW write: wake=%v, want premature [3]", wake)
 	}
@@ -200,7 +200,7 @@ func TestFigure5PrematureWake(t *testing.T) {
 	}
 
 	// Steps 5-6: core 2's release wakes core 0 (round-robin moved on).
-	wake = d.Write(addrA, memtypes.CBOne)
+	wake = coreList(d.Write(addrA, memtypes.CBOne))
 	if !reflect.DeepEqual(wake, []int{0}) {
 		t.Fatalf("release: wake=%v, want [0]", wake)
 	}
@@ -208,7 +208,7 @@ func TestFigure5PrematureWake(t *testing.T) {
 	// Steps 7-8: core 0's RMW write prematurely wakes core 1... which in
 	// the figure had also blocked. Here core 3 is the only waiter left,
 	// so it is woken prematurely again, losing its turn.
-	wake = d.Write(addrA, memtypes.CBOne)
+	wake = coreList(d.Write(addrA, memtypes.CBOne))
 	if !reflect.DeepEqual(wake, []int{3}) {
 		t.Fatalf("second RMW write: wake=%v, want [3]", wake)
 	}
@@ -223,7 +223,7 @@ func TestFigure6WriteCB0(t *testing.T) {
 
 	// Core 2 acquires: read consumes; write is st_cb0 (no wakes).
 	d.ReadThrough(2, addrA)
-	if wake := d.Write(addrA, memtypes.CBZero); wake != nil {
+	if wake := coreList(d.Write(addrA, memtypes.CBZero)); wake != nil {
 		t.Fatalf("st_cb0 woke %v, want nobody", wake)
 	}
 
@@ -234,11 +234,11 @@ func TestFigure6WriteCB0(t *testing.T) {
 
 	// Release wakes exactly one (core 3), whose RMW succeeds; its own
 	// st_cb0 wakes nobody.
-	if wake := d.Write(addrA, memtypes.CBOne); !reflect.DeepEqual(wake, []int{3}) {
+	if wake := coreList(d.Write(addrA, memtypes.CBOne)); !reflect.DeepEqual(wake, []int{3}) {
 		t.Fatal("release should wake core 3")
 	}
 	d.ReadThrough(3, addrA) // woken RMW's read half re-executes at the LLC
-	if wake := d.Write(addrA, memtypes.CBZero); wake != nil {
+	if wake := coreList(d.Write(addrA, memtypes.CBZero)); wake != nil {
 		t.Fatalf("woken RMW's st_cb0 woke %v, want nobody", wake)
 	}
 	// Core 0 still waits, untouched.
@@ -247,7 +247,7 @@ func TestFigure6WriteCB0(t *testing.T) {
 		t.Fatalf("cb=%v, want only core 0 waiting", cb)
 	}
 	// Next release hands off to core 0.
-	if wake := d.Write(addrA, memtypes.CBOne); !reflect.DeepEqual(wake, []int{0}) {
+	if wake := coreList(d.Write(addrA, memtypes.CBOne)); !reflect.DeepEqual(wake, []int{0}) {
 		t.Fatal("second release should wake core 0")
 	}
 }
@@ -265,7 +265,7 @@ func TestReadThroughNeverInstalls(t *testing.T) {
 
 func TestWriteNeverInstalls(t *testing.T) {
 	d := New(4, 4)
-	if wake := d.Write(addrA, memtypes.CBAll); wake != nil {
+	if wake := coreList(d.Write(addrA, memtypes.CBAll)); wake != nil {
 		t.Fatal("write on missing entry woke someone")
 	}
 	if d.HasEntry(addrA) {
@@ -299,10 +299,10 @@ func TestWordGranularity(t *testing.T) {
 	if res, _ := d.CallbackRead(0, w1); res != ReadSatisfied {
 		t.Fatal("same-line different-word read should have its own entry")
 	}
-	if wake := d.Write(w1, memtypes.CBAll); len(wake) != 0 {
+	if wake := coreList(d.Write(w1, memtypes.CBAll)); len(wake) != 0 {
 		t.Fatal("write to w1 must not wake w0's waiter")
 	}
-	if wake := d.Write(w0, memtypes.CBAll); !reflect.DeepEqual(wake, []int{0}) {
+	if wake := coreList(d.Write(w0, memtypes.CBAll)); !reflect.DeepEqual(wake, []int{0}) {
 		t.Fatal("write to w0 should wake its waiter")
 	}
 }
@@ -331,7 +331,7 @@ func TestEvictionAnswersAllWaiters(t *testing.T) {
 	d.CallbackRead(1, addrA)
 	d.CallbackRead(3, addrA)
 	_, ev := d.CallbackRead(2, addrB)
-	if ev == nil || !reflect.DeepEqual(ev.Waiters, []int{0, 1, 3}) {
+	if ev == nil || !reflect.DeepEqual(coreList(ev.Waiters), []int{0, 1, 3}) {
 		t.Fatalf("eviction=%+v, want waiters [0 1 3]", ev)
 	}
 	if d.Stats().StaleWakes != 3 {
@@ -385,7 +385,7 @@ func TestLowestIDPolicy(t *testing.T) {
 	d.CallbackRead(3, addrA)       // consumes
 	d.CallbackRead(2, addrA)       // blocks
 	d.CallbackRead(1, addrA)       // blocks
-	if wake := d.Write(addrA, memtypes.CBOne); !reflect.DeepEqual(wake, []int{1}) {
+	if wake := coreList(d.Write(addrA, memtypes.CBOne)); !reflect.DeepEqual(wake, []int{1}) {
 		t.Fatalf("wake=%v, want lowest ID [1]", wake)
 	}
 }
@@ -413,7 +413,7 @@ func TestCancelCallback(t *testing.T) {
 		t.Fatal("second cancel should find nothing")
 	}
 	// After cancel the write wakes nobody.
-	if wake := d.Write(addrA, memtypes.CBAll); len(wake) != 0 {
+	if wake := coreList(d.Write(addrA, memtypes.CBAll)); len(wake) != 0 {
 		t.Fatal("cancelled callback was woken")
 	}
 }
@@ -435,7 +435,7 @@ func TestPropertyCBAllWakeSet(t *testing.T) {
 				want = append(want, c)
 			}
 		}
-		wake := d.Write(addrA, memtypes.CBAll)
+		wake := coreList(d.Write(addrA, memtypes.CBAll))
 		if !reflect.DeepEqual(wake, want) {
 			return false
 		}
@@ -482,7 +482,7 @@ func TestPropertyCBOneSingleWake(t *testing.T) {
 					pending[c] = true
 				}
 			case 1:
-				wake := d.Write(addrA, memtypes.CBOne)
+				wake := coreList(d.Write(addrA, memtypes.CBOne))
 				if len(wake) > 1 {
 					return false
 				}
@@ -525,7 +525,7 @@ func TestPropertyNoLostWaiters(t *testing.T) {
 				}
 				res, ev := d.CallbackRead(c, a)
 				if ev != nil {
-					for _, w := range ev.Waiters {
+					for _, w := range coreList(ev.Waiters) {
 						delete(blocked, waiter{w, ev.Addr})
 					}
 				}
@@ -533,14 +533,14 @@ func TestPropertyNoLostWaiters(t *testing.T) {
 					blocked[waiter{c, a}] = true
 				}
 			case 1:
-				for _, w := range d.Write(a, memtypes.CBAll) {
+				for _, w := range coreList(d.Write(a, memtypes.CBAll)) {
 					if !blocked[waiter{w, a}] {
 						return false
 					}
 					delete(blocked, waiter{w, a})
 				}
 			case 2:
-				for _, w := range d.Write(a, memtypes.CBOne) {
+				for _, w := range coreList(d.Write(a, memtypes.CBOne)) {
 					if !blocked[waiter{w, a}] {
 						return false
 					}
@@ -577,7 +577,7 @@ func TestLineGranularTags(t *testing.T) {
 		t.Fatal("line-granular entry should have been consumed by w0's read")
 	}
 	// A write to the other word wakes it (false sharing of entries).
-	if wake := d.Write(w0, memtypes.CBAll); !reflect.DeepEqual(wake, []int{0}) {
+	if wake := coreList(d.Write(w0, memtypes.CBAll)); !reflect.DeepEqual(wake, []int{0}) {
 		t.Fatalf("wake=%v, want [0]", wake)
 	}
 	if d.Stats().Installs != 1 {
@@ -596,7 +596,56 @@ func TestEvictLRUPolicy(t *testing.T) {
 	if ev == nil || ev.Addr != addrA.Word() {
 		t.Fatalf("eviction=%+v, want A under plain LRU", ev)
 	}
-	if !reflect.DeepEqual(ev.Waiters, []int{0}) {
-		t.Fatalf("waiters=%v, want [0]", ev.Waiters)
+	if !reflect.DeepEqual(coreList(ev.Waiters), []int{0}) {
+		t.Fatalf("waiters=%v, want [0]", coreList(ev.Waiters))
 	}
+}
+
+// coreList expands a core mask into ascending core IDs (nil when empty),
+// the order in which the bank services the wakes.
+func coreList(mask uint64) []int {
+	var cores []int
+	for c := 0; mask != 0; c, mask = c+1, mask>>1 {
+		if mask&1 != 0 {
+			cores = append(cores, c)
+		}
+	}
+	return cores
+}
+
+// TestWriteWakesAllocFree pins that answering callbacks allocates
+// nothing: a CB-All write waking two parked cores and a CB-One write
+// waking one return their cores as a mask.
+func TestWriteWakesAllocFree(t *testing.T) {
+	d := New(4, 64)
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, c := range []int{5, 63} {
+			d.CallbackRead(c, addrA)
+			d.CallbackRead(c, addrA) // consumed the value; this one parks
+		}
+		if got := d.Write(addrA, memtypes.CBAll); got != 1<<5|1<<63 {
+			t.Fatalf("CB-All write woke %v, want [5 63]", coreList(got))
+		}
+		d.CallbackRead(7, addrA)
+		d.CallbackRead(7, addrA)
+		if got := d.Write(addrA, memtypes.CBOne); got != 1<<7 {
+			t.Fatalf("CB-One write woke %v, want [7]", coreList(got))
+		}
+		d.Write(addrA, memtypes.CBAll) // back to All mode, every F/E bit full
+	})
+	if allocs != 0 {
+		t.Fatalf("callback writes: %v allocs per run, want 0", allocs)
+	}
+}
+
+// TestNewRejectsMoreCoresThanAMaskHolds pins the bound that makes the
+// wake mask exact: a 65th core would have no bit.
+func TestNewRejectsMoreCoresThanAMaskHolds(t *testing.T) {
+	New(4, 64)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("New(4, 65) did not panic")
+		}
+	}()
+	New(4, 65)
 }

@@ -42,8 +42,8 @@ func (r *refDirectory) applyEviction(t *testing.T, ev *Eviction) {
 		t.Fatalf("directory evicted %#x which the model never installed", uint64(ev.Addr))
 	}
 	want := waiterSet(e.cb)
-	if fmt.Sprint(ev.Waiters) != fmt.Sprint(want) {
-		t.Fatalf("eviction of %#x reported waiters %v, model has %v", uint64(ev.Addr), ev.Waiters, want)
+	if fmt.Sprint(coreList(ev.Waiters)) != fmt.Sprint(want) {
+		t.Fatalf("eviction of %#x reported waiters %v, model has %v", uint64(ev.Addr), coreList(ev.Waiters), want)
 	}
 	delete(r.entries, ev.Addr)
 }
@@ -258,7 +258,7 @@ func FuzzDirectory(f *testing.F) {
 				r.readThrough(core, addr)
 			case op < 0x7: // write (mode from the op nibble)
 				mode := memtypes.CBWrite(op - 0x4)
-				wake := d.Write(addr, mode)
+				wake := coreList(d.Write(addr, mode))
 				want := r.write(addr, mode)
 				if fmt.Sprint(wake) != fmt.Sprint(want) {
 					t.Fatalf("%s: Write(%#x, %v) woke %v, model says %v", label, uint64(addr), mode, wake, want)

@@ -74,13 +74,15 @@ func runProgram(t *testing.T, prog *isa.Program, setup func(*Core, *fakePort)) (
 
 func TestALUAndBranches(t *testing.T) {
 	// Sum 1..10 with a loop.
-	prog := isa.NewBuilder().
+	b := isa.NewBuilder()
+	loop := b.NewLabel()
+	prog := b.
 		Imm(isa.R1, 10). // counter
 		Imm(isa.R2, 0).  // sum
-		Label("loop").
+		Bind(loop).
 		Add(isa.R2, isa.R2, isa.R1).
 		Addi(isa.R1, isa.R1, ^uint64(0)).
-		Bnez(isa.R1, "loop").
+		Bnez(isa.R1, loop).
 		Done().
 		MustBuild()
 	c, _, _ := runProgram(t, prog, nil)
@@ -346,11 +348,13 @@ func TestTwoCoresInterleave(t *testing.T) {
 		Done().
 		MustBuild(), 0)
 
-	reader.Run(isa.NewBuilder().
+	b := isa.NewBuilder()
+	spin := b.NewLabel()
+	reader.Run(b.
 		Imm(isa.R1, 0x80).
-		Label("spin").
+		Bind(spin).
 		LdThrough(isa.R2, isa.R1, 0).
-		Beqz(isa.R2, "spin").
+		Beqz(isa.R2, spin).
 		Done().
 		MustBuild(), 0)
 
@@ -393,19 +397,21 @@ func TestAccessors(t *testing.T) {
 }
 
 func TestComputeRAndALUOps(t *testing.T) {
-	prog := isa.NewBuilder().
+	b := isa.NewBuilder()
+	eq, ne := b.NewLabel(), b.NewLabel()
+	prog := b.
 		Imm(isa.R1, 120).
 		ComputeR(isa.R1).
 		Mov(isa.R2, isa.R1).
 		Sub(isa.R3, isa.R1, isa.R2). // 0
 		Xori(isa.R4, isa.R3, 5).     // 5
 		Nop().
-		Beq(isa.R1, isa.R2, "eq").
+		Beq(isa.R1, isa.R2, eq).
 		Imm(isa.R5, 111). // skipped
-		Label("eq").
-		Bne(isa.R1, isa.R3, "ne").
+		Bind(eq).
+		Bne(isa.R1, isa.R3, ne).
 		Imm(isa.R5, 222). // skipped
-		Label("ne").
+		Bind(ne).
 		Done().
 		MustBuild()
 	c, _, _ := runProgram(t, prog, nil)
@@ -421,11 +427,12 @@ func TestMaxBatchYields(t *testing.T) {
 	// A long pure-ALU stretch must yield to the kernel without losing
 	// cycles: 3 ALU ops per iteration x 3000 iterations > maxBatch.
 	b := isa.NewBuilder()
+	loop := b.NewLabel()
 	b.Imm(isa.R1, 3000)
-	b.Label("loop")
+	b.Bind(loop)
 	b.Addi(isa.R2, isa.R2, 1)
 	b.Addi(isa.R1, isa.R1, ^uint64(0))
-	b.Bnez(isa.R1, "loop")
+	b.Bnez(isa.R1, loop)
 	b.Done()
 	c, _, _ := runProgram(t, b.MustBuild(), nil)
 	if c.Reg(isa.R2) != 3000 {

@@ -79,9 +79,10 @@ func runLockMicro(mk func(*synclib.Layout, int) synclib.Lock, s Setup, o Options
 	for tid := 0; tid < o.Cores; tid++ {
 		rng := rand.New(rand.NewSource(int64(tid) + 42))
 		b := isa.NewBuilder()
+		loop := b.NewLabel()
 		lock.EmitInit(b, f, tid)
 		b.Imm(isa.R1, iters)
-		b.Label("loop")
+		b.Bind(loop)
 		b.Compute(uint64(2000 + rng.Intn(2000)))
 		lock.EmitAcquire(b, f, tid)
 		b.Imm(isa.R2, uint64(counter))
@@ -91,7 +92,7 @@ func runLockMicro(mk func(*synclib.Layout, int) synclib.Lock, s Setup, o Options
 		b.Compute(100)
 		lock.EmitRelease(b, f, tid)
 		b.Addi(isa.R1, isa.R1, ^uint64(0))
-		b.Bnez(isa.R1, "loop")
+		b.Bnez(isa.R1, loop)
 		b.Done()
 		g.Programs = append(g.Programs, b.MustBuild())
 	}

@@ -46,9 +46,10 @@ func lockMicro(name string, mk func(*synclib.Layout, int) synclib.Lock) Micro {
 			for tid := 0; tid < cores; tid++ {
 				rng := rand.New(rand.NewSource(int64(tid) + 42))
 				b := isa.NewBuilder()
+				loop := b.NewLabel()
 				lock.EmitInit(b, f, tid)
 				b.Imm(isa.R1, iters)
-				b.Label("loop")
+				b.Bind(loop)
 				b.Compute(uint64(2000 + rng.Intn(2000)))
 				lock.EmitAcquire(b, f, tid)
 				b.Imm(isa.R2, uint64(counter))
@@ -58,7 +59,7 @@ func lockMicro(name string, mk func(*synclib.Layout, int) synclib.Lock) Micro {
 				b.Compute(100)
 				lock.EmitRelease(b, f, tid)
 				b.Addi(isa.R1, isa.R1, ^uint64(0))
-				b.Bnez(isa.R1, "loop")
+				b.Bnez(isa.R1, loop)
 				b.Done()
 				g.Programs = append(g.Programs, b.MustBuild())
 			}
@@ -85,13 +86,14 @@ func barrierMicro(name string, mk func(*synclib.Layout, int) synclib.Barrier) Mi
 			for tid := 0; tid < cores; tid++ {
 				rng := rand.New(rand.NewSource(int64(tid) + 7))
 				b := isa.NewBuilder()
+				loop := b.NewLabel()
 				bar.EmitInit(b, f, tid)
 				b.Imm(isa.R1, episodes)
-				b.Label("loop")
+				b.Bind(loop)
 				b.Compute(uint64(1000 + rng.Intn(3000)))
 				bar.EmitWait(b, f, tid)
 				b.Addi(isa.R1, isa.R1, ^uint64(0))
-				b.Bnez(isa.R1, "loop")
+				b.Bnez(isa.R1, loop)
 				b.Done()
 				g.Programs = append(g.Programs, b.MustBuild())
 			}
@@ -120,13 +122,14 @@ func signalWaitMicro() Micro {
 				Observe: []memtypes.Addr{}}
 			for tid := 0; tid < cores; tid++ {
 				b := isa.NewBuilder()
+				loop := b.NewLabel()
 				// An odd core count leaves the last core unpaired:
 				// it gets an empty program.
 				if tid/2 < len(chans) {
 					rng := rand.New(rand.NewSource(int64(tid) + 99))
 					ch := chans[tid/2]
 					b.Imm(isa.R1, iters)
-					b.Label("loop")
+					b.Bind(loop)
 					if tid%2 == 0 {
 						b.Compute(uint64(500 + rng.Intn(1000)))
 						ch.EmitSignal(b, f)
@@ -135,7 +138,7 @@ func signalWaitMicro() Micro {
 						b.Compute(50)
 					}
 					b.Addi(isa.R1, isa.R1, ^uint64(0))
-					b.Bnez(isa.R1, "loop")
+					b.Bnez(isa.R1, loop)
 				}
 				b.Done()
 				g.Programs = append(g.Programs, b.MustBuild())

@@ -9,14 +9,15 @@ import (
 )
 
 // Machine construction is the shared prefix of every sweep cell: building
-// a 64-core machine allocates ~26MB of cache backing, directory maps, and
-// queues before the first event fires, and a Figure-21 sweep builds 19x7
-// of them. The warm pool simulates that prefix once per configuration:
-// the first cell for a config builds the machine and captures its
-// zero-state snapshot (machine.Snapshot of the freshly built, trivially
-// quiescent machine); every later cell forks from the pool by restoring
-// that snapshot — a memclr-speed operation — instead of reallocating the
-// world. Restore reconstructs the exact fresh-machine state (identity
+// a 64-core machine allocates about 1.3 MB of cache set headers, kernel
+// wheel, directories and queues before the first event fires (cache
+// lines are backed only as a cell touches them), and a Figure-21 sweep
+// builds 19x7 of them. The warm pool simulates that prefix once per
+// configuration: the first cell for a config builds the machine and
+// captures its zero-state snapshot (machine.Snapshot of the freshly
+// built, trivially quiescent machine); every later cell forks from the
+// pool by restoring that snapshot, which clears only the cache sets the
+// previous cell touched, instead of reallocating the world. Restore reconstructs the exact fresh-machine state (identity
 // pinned by TestWarmStartSweepIdentity and the machine-level snapshot
 // tests), so warm and cold sweeps are byte-identical.
 

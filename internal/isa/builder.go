@@ -2,35 +2,59 @@ package isa
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/memtypes"
 )
 
-// Builder assembles a Program with symbolic labels. Methods append one
+// Label is a branch target in the program a Builder assembles. NewLabel
+// creates one, Bind places it at the current position, and branch
+// methods take it before or after it is bound. Labels are numbered per
+// builder and are invalid after Reset.
+type Label int32
+
+// unbound marks a created label that Bind has not placed yet.
+const unbound = -1
+
+// Builder assembles a Program with numbered labels. Methods append one
 // instruction each and return the builder for chaining. Label references
-// may precede their definition; Build resolves them.
+// may precede their definition; Build resolves them. A builder can be
+// Reset and reused, so generating many programs grows its buffers once.
 type Builder struct {
-	ins    []Instr
-	labels map[string]int
-	fixups map[int]string // instruction index -> unresolved label
+	ins []Instr
+	// labels[l] is label l's instruction index, or unbound.
+	labels []int
+	// fixups lists, in emission order, the instructions whose Target
+	// still holds a label number for Build to resolve.
+	fixups []int
 }
 
 // NewBuilder returns an empty program builder.
-func NewBuilder() *Builder {
-	return &Builder{labels: make(map[string]int), fixups: make(map[int]string)}
+func NewBuilder() *Builder { return &Builder{} }
+
+// Reset empties the builder for a new program, keeping its buffers.
+// Labels created before Reset must not be used after it.
+func (b *Builder) Reset() {
+	b.ins = b.ins[:0]
+	b.labels = b.labels[:0]
+	b.fixups = b.fixups[:0]
 }
 
-// Pos returns the current instruction count, useful for generating
-// unique label names.
-func (b *Builder) Pos() int { return len(b.ins) }
+// NewLabel creates an unbound label.
+func (b *Builder) NewLabel() Label {
+	b.labels = append(b.labels, unbound)
+	return Label(len(b.labels) - 1)
+}
 
-// Label defines name at the current position. Redefinition panics.
-func (b *Builder) Label(name string) *Builder {
-	if _, ok := b.labels[name]; ok {
-		panic(fmt.Sprintf("isa: label %q redefined", name))
+// Bind places l at the current position. Binding a label twice, or a
+// number NewLabel has not returned since the last Reset, panics.
+func (b *Builder) Bind(l Label) *Builder {
+	if l < 0 || int(l) >= len(b.labels) {
+		panic(fmt.Sprintf("isa: label L%d was not created by this builder", l))
 	}
-	b.labels[name] = len(b.ins)
+	if b.labels[l] != unbound {
+		panic(fmt.Sprintf("isa: label L%d bound twice", l))
+	}
+	b.labels[l] = len(b.ins)
 	return b
 }
 
@@ -39,9 +63,9 @@ func (b *Builder) emit(in Instr) *Builder {
 	return b
 }
 
-func (b *Builder) emitBranch(in Instr, label string) *Builder {
-	in.Label = label
-	b.fixups[len(b.ins)] = label
+func (b *Builder) emitBranch(in Instr, l Label) *Builder {
+	in.Target = int(l)
+	b.fixups = append(b.fixups, len(b.ins))
 	return b.emit(in)
 }
 
@@ -79,39 +103,39 @@ func (b *Builder) Xori(rd, rs Reg, imm uint64) *Builder {
 	return b.emit(Instr{Op: Xori, Rd: rd, Rs: rs, ImmVal: imm})
 }
 
-// Beq branches to label when rs == rt.
-func (b *Builder) Beq(rs, rt Reg, label string) *Builder {
-	return b.emitBranch(Instr{Op: Beq, Rs: rs, Rt: rt}, label)
+// Beq branches to l when rs == rt.
+func (b *Builder) Beq(rs, rt Reg, l Label) *Builder {
+	return b.emitBranch(Instr{Op: Beq, Rs: rs, Rt: rt}, l)
 }
 
-// Bne branches to label when rs != rt.
-func (b *Builder) Bne(rs, rt Reg, label string) *Builder {
-	return b.emitBranch(Instr{Op: Bne, Rs: rs, Rt: rt}, label)
+// Bne branches to l when rs != rt.
+func (b *Builder) Bne(rs, rt Reg, l Label) *Builder {
+	return b.emitBranch(Instr{Op: Bne, Rs: rs, Rt: rt}, l)
 }
 
-// Beqz branches to label when rs == 0.
-func (b *Builder) Beqz(rs Reg, label string) *Builder {
-	return b.emitBranch(Instr{Op: Beqi, Rs: rs, ImmVal: 0}, label)
+// Beqz branches to l when rs == 0.
+func (b *Builder) Beqz(rs Reg, l Label) *Builder {
+	return b.emitBranch(Instr{Op: Beqi, Rs: rs, ImmVal: 0}, l)
 }
 
-// Bnez branches to label when rs != 0.
-func (b *Builder) Bnez(rs Reg, label string) *Builder {
-	return b.emitBranch(Instr{Op: Bnei, Rs: rs, ImmVal: 0}, label)
+// Bnez branches to l when rs != 0.
+func (b *Builder) Bnez(rs Reg, l Label) *Builder {
+	return b.emitBranch(Instr{Op: Bnei, Rs: rs, ImmVal: 0}, l)
 }
 
-// Beqi branches to label when rs == imm.
-func (b *Builder) Beqi(rs Reg, imm uint64, label string) *Builder {
-	return b.emitBranch(Instr{Op: Beqi, Rs: rs, ImmVal: imm}, label)
+// Beqi branches to l when rs == imm.
+func (b *Builder) Beqi(rs Reg, imm uint64, l Label) *Builder {
+	return b.emitBranch(Instr{Op: Beqi, Rs: rs, ImmVal: imm}, l)
 }
 
-// Bnei branches to label when rs != imm.
-func (b *Builder) Bnei(rs Reg, imm uint64, label string) *Builder {
-	return b.emitBranch(Instr{Op: Bnei, Rs: rs, ImmVal: imm}, label)
+// Bnei branches to l when rs != imm.
+func (b *Builder) Bnei(rs Reg, imm uint64, l Label) *Builder {
+	return b.emitBranch(Instr{Op: Bnei, Rs: rs, ImmVal: imm}, l)
 }
 
 // Jmp branches unconditionally.
-func (b *Builder) Jmp(label string) *Builder {
-	return b.emitBranch(Instr{Op: Jmp}, label)
+func (b *Builder) Jmp(l Label) *Builder {
+	return b.emitBranch(Instr{Op: Jmp}, l)
 }
 
 // Compute models imm cycles of local, memory-free work.
@@ -233,25 +257,19 @@ func (b *Builder) SyncEnd(kind SyncKind) *Builder {
 // Done marks thread completion.
 func (b *Builder) Done() *Builder { return b.emit(Instr{Op: Done}) }
 
-// Build resolves labels and returns the program. Unresolved labels are an
-// error; with several unresolved labels the one at the lowest instruction
-// index is reported, deterministically.
+// Build resolves labels and returns the program, copied at its exact
+// size so the builder can be reset and reused. Unresolved labels are an
+// error; with several unresolved labels the one at the lowest
+// instruction index is reported, deterministically.
 func (b *Builder) Build() (*Program, error) {
 	ins := make([]Instr, len(b.ins))
 	copy(ins, b.ins)
-	idxs := make([]int, 0, len(b.fixups))
-	//cbvet:unordered keys are sorted before use
-	for idx := range b.fixups {
-		idxs = append(idxs, idx)
-	}
-	sort.Ints(idxs)
-	for _, idx := range idxs {
-		label := b.fixups[idx]
-		target, ok := b.labels[label]
-		if !ok {
-			return nil, fmt.Errorf("isa: undefined label %q at instruction %d", label, idx)
+	for _, idx := range b.fixups {
+		l := ins[idx].Target
+		if l < 0 || l >= len(b.labels) || b.labels[l] == unbound {
+			return nil, fmt.Errorf("isa: undefined label L%d at instruction %d", l, idx)
 		}
-		ins[idx].Target = target
+		ins[idx].Target = b.labels[l]
 	}
 	return &Program{Ins: ins}, nil
 }

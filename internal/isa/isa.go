@@ -5,9 +5,11 @@
 // of {ld|ld_cb}&{st_cb0|st_cb1|st_cbA}, the self_invl/self_down fences,
 // and the exponential back-off pseudo-ops used by the VIPS-M baseline.
 //
-// Programs are built with a Builder that supports symbolic labels, so the
-// synchronization algorithms read almost line-for-line like the paper's
-// figures.
+// Programs are built with a Builder whose numbered labels (NewLabel,
+// Bind) let the synchronization algorithms read almost line-for-line
+// like the paper's figures. A built program is a flat, pointer-free
+// []Instr; branch targets are instruction indices, which String prints
+// as @N.
 package isa
 
 import (
@@ -140,29 +142,30 @@ func (s SyncKind) String() string {
 	return fmt.Sprintf("SyncKind(%d)", uint8(s))
 }
 
-// Instr is one decoded micro-op.
+// Instr is one decoded micro-op. Wide fields come first so the struct
+// packs into 56 bytes, and it holds no pointer: a program is plain data
+// the garbage collector never scans.
 type Instr struct {
-	Op Opcode
-
-	Rd, Rs, Rt Reg
-	ImmVal     uint64
-	Target     int // resolved branch target (instruction index)
+	ImmVal uint64
+	Target int // resolved branch target (instruction index)
 
 	// Memory addressing: effective address = regs[Base] + Offset.
-	Base   Reg
 	Offset int64
+
+	// RMW operands (Op == RMW).
+	Expect uint64 // expected value (t&s, cas)
+	ArgImm uint64 // argument immediate (if !ArgIsReg)
+
+	Op         Opcode
+	Rd, Rs, Rt Reg
+	Base       Reg
 
 	// RMW description (Op == RMW).
 	RMWOp    memtypes.RMWOp
 	RMWLdCB  bool             // load half is ld_cb
 	RMWSt    memtypes.CBWrite // store half semantics
-	Expect   uint64           // expected value (t&s, cas)
 	ArgReg   Reg              // argument register (if ArgIsReg)
-	ArgImm   uint64           // argument immediate (if !ArgIsReg)
 	ArgIsReg bool
-
-	// Label is the symbolic target name, kept for disassembly.
-	Label string
 }
 
 func (in Instr) String() string {
@@ -170,11 +173,11 @@ func (in Instr) String() string {
 	case Imm:
 		return fmt.Sprintf("imm r%d, %d", in.Rd, in.ImmVal)
 	case Beq, Bne:
-		return fmt.Sprintf("%s r%d, r%d, %s", in.Op, in.Rs, in.Rt, in.Label)
+		return fmt.Sprintf("%s r%d, r%d, @%d", in.Op, in.Rs, in.Rt, in.Target)
 	case Beqi, Bnei:
-		return fmt.Sprintf("%s r%d, %d, %s", in.Op, in.Rs, in.ImmVal, in.Label)
+		return fmt.Sprintf("%s r%d, %d, @%d", in.Op, in.Rs, in.ImmVal, in.Target)
 	case Jmp:
-		return fmt.Sprintf("jmp %s", in.Label)
+		return fmt.Sprintf("jmp @%d", in.Target)
 	case Ld, LdT, LdCB:
 		return fmt.Sprintf("%s r%d, %d(r%d)", in.Op, in.Rd, in.Offset, in.Base)
 	case St, StT, StCB1, StCB0:

@@ -1,21 +1,24 @@
 package isa
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/memtypes"
 )
 
 func TestBuilderLabelsForwardAndBackward(t *testing.T) {
 	b := NewBuilder()
+	loop, end := b.NewLabel(), b.NewLabel()
 	b.Imm(R1, 3)
-	b.Label("loop")
+	b.Bind(loop)
 	b.Addi(R1, R1, ^uint64(0)) // R1--
-	b.Bnez(R1, "loop")
-	b.Jmp("end")
+	b.Bnez(R1, loop)
+	b.Jmp(end)
 	b.Nop()
-	b.Label("end")
+	b.Bind(end)
 	b.Done()
 	p, err := b.Build()
 	if err != nil {
@@ -31,7 +34,7 @@ func TestBuilderLabelsForwardAndBackward(t *testing.T) {
 
 func TestBuilderUndefinedLabel(t *testing.T) {
 	b := NewBuilder()
-	b.Jmp("nowhere")
+	b.Jmp(b.NewLabel())
 	if _, err := b.Build(); err == nil {
 		t.Fatal("expected error for undefined label")
 	}
@@ -39,14 +42,22 @@ func TestBuilderUndefinedLabel(t *testing.T) {
 
 // TestBuilderUndefinedLabelDeterministic pins the error-reporting order:
 // with several unresolved labels, Build must always name the one at the
-// lowest instruction index, not whichever the fixup map yields first.
+// lowest instruction index, whatever order the labels were created or
+// bound in.
 func TestBuilderUndefinedLabelDeterministic(t *testing.T) {
-	const want = `isa: undefined label "missing0" at instruction 0`
+	const want = `isa: undefined label L5 at instruction 2`
 	for i := 0; i < 32; i++ {
 		b := NewBuilder()
-		for j := 0; j < 8; j++ {
-			b.Jmp("missing" + string(rune('0'+j)))
+		labels := make([]Label, 8)
+		for j := range labels {
+			labels[j] = b.NewLabel()
 		}
+		b.Jmp(labels[7])
+		b.Jmp(labels[6])
+		for j := 5; j >= 0; j-- {
+			b.Jmp(labels[j])
+		}
+		b.Bind(labels[7]).Bind(labels[6])
 		_, err := b.Build()
 		if err == nil {
 			t.Fatal("expected error for undefined labels")
@@ -59,13 +70,80 @@ func TestBuilderUndefinedLabelDeterministic(t *testing.T) {
 
 func TestBuilderRedefinedLabelPanics(t *testing.T) {
 	b := NewBuilder()
-	b.Label("x")
+	x := b.NewLabel()
+	b.Bind(x)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("label redefinition did not panic")
 		}
 	}()
-	b.Label("x")
+	b.Bind(x)
+}
+
+func TestBuilderStaleLabelPanics(t *testing.T) {
+	b := NewBuilder()
+	l := b.NewLabel()
+	b.Reset()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("binding a label created before Reset did not panic")
+		}
+	}()
+	b.Bind(l)
+}
+
+// TestBuilderResetReuse checks that a builder reset after building one
+// program assembles the next exactly like a fresh builder, and that the
+// first program keeps its own copy of the instructions.
+func TestBuilderResetReuse(t *testing.T) {
+	emit := func(b *Builder, n uint64) {
+		top, out := b.NewLabel(), b.NewLabel()
+		b.Imm(R1, n)
+		b.Bind(top)
+		b.Beqz(R1, out)
+		b.Addi(R1, R1, ^uint64(0))
+		b.Jmp(top)
+		b.Bind(out)
+		b.TAS(R2, R3, 0, true, memtypes.CBOne)
+		b.Done()
+	}
+	build := func(b *Builder, n uint64) *Program {
+		emit(b, n)
+		return b.MustBuild()
+	}
+	reused := NewBuilder()
+	first := build(reused, 9)
+	reused.Jmp(reused.NewLabel()) // left dangling: Reset must drop it
+	reused.Reset()
+	got := build(reused, 3)
+	if want := build(NewBuilder(), 3); !reflect.DeepEqual(got, want) {
+		t.Fatalf("reused builder:\n%+v\nfresh builder:\n%+v", got.Ins, want.Ins)
+	}
+	if cap(got.Ins) != len(got.Ins) {
+		t.Fatalf("built program has cap %d for %d instructions, want an exact copy", cap(got.Ins), len(got.Ins))
+	}
+	if want := build(NewBuilder(), 9); !reflect.DeepEqual(first, want) {
+		t.Fatal("building through the reused builder changed an earlier program")
+	}
+}
+
+// TestInstrIsCompactPlainData pins the program representation: an Instr
+// fits in 64 bytes and holds no pointer, so programs are never scanned
+// by the garbage collector.
+func TestInstrIsCompactPlainData(t *testing.T) {
+	if size := unsafe.Sizeof(Instr{}); size > 64 {
+		t.Fatalf("Instr is %d bytes, want <= 64", size)
+	}
+	typ := reflect.TypeOf(Instr{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		switch f.Type.Kind() {
+		case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		default:
+			t.Errorf("Instr.%s has kind %s, want a scalar", f.Name, f.Type.Kind())
+		}
+	}
 }
 
 func TestRMWHelpers(t *testing.T) {
@@ -143,12 +221,15 @@ func TestTable1Coverage(t *testing.T) {
 }
 
 func TestDisassembly(t *testing.T) {
-	p := NewBuilder().
+	b := NewBuilder()
+	spin := b.NewLabel()
+	p := b.
 		Imm(R1, 7).
 		LdCB(R2, R1, 8).
 		TAS(R3, R1, 0, true, memtypes.CBZero).
-		Bnez(R3, "spin").
-		Label("spin").
+		Bnez(R3, spin).
+		Bind(spin).
+		Jmp(spin).
 		Done().
 		MustBuild()
 	texts := make([]string, 0, p.Len())
@@ -156,7 +237,7 @@ func TestDisassembly(t *testing.T) {
 		texts = append(texts, in.String())
 	}
 	joined := strings.Join(texts, "\n")
-	for _, want := range []string{"imm r1, 7", "ld_cb r2, 8(r1)", "t&s{ld_cb&st_cb0}", "bnei r3, 0, spin", "done"} {
+	for _, want := range []string{"imm r1, 7", "ld_cb r2, 8(r1)", "t&s{ld_cb&st_cb0}", "bnei r3, 0, @4", "jmp @4", "done"} {
 		if !strings.Contains(joined, want) {
 			t.Errorf("disassembly missing %q in:\n%s", want, joined)
 		}
@@ -165,8 +246,9 @@ func TestDisassembly(t *testing.T) {
 
 func TestBuildCopiesInstructions(t *testing.T) {
 	b := NewBuilder()
-	b.Jmp("l")
-	b.Label("l")
+	l := b.NewLabel()
+	b.Jmp(l)
+	b.Bind(l)
 	p1 := b.MustBuild()
 	b.Done()
 	p2 := b.MustBuild()
@@ -202,16 +284,18 @@ func TestSyncKindNames(t *testing.T) {
 }
 
 func TestRemainingBuilderMethods(t *testing.T) {
-	p := NewBuilder().
+	b := NewBuilder()
+	l := b.NewLabel()
+	p := b.
 		Nop().
 		Mov(R1, R2).
 		Sub(R3, R4, R5).
 		Xori(R6, R6, 1).
-		Beq(R1, R2, "l").
-		Bne(R1, R2, "l").
-		Beqi(R1, 7, "l").
-		Bnei(R1, 7, "l").
-		Label("l").
+		Beq(R1, R2, l).
+		Bne(R1, R2, l).
+		Beqi(R1, 7, l).
+		Bnei(R1, 7, l).
+		Bind(l).
 		ComputeR(R3).
 		BackoffReset().
 		BackoffWait().
@@ -240,15 +324,17 @@ func TestRemainingBuilderMethods(t *testing.T) {
 }
 
 func TestDisassemblyCoversEveryMemOp(t *testing.T) {
-	p := NewBuilder().
+	b := NewBuilder()
+	end := b.NewLabel()
+	p := b.
 		Ld(R1, R2, 8).
 		St(R2, 8, R1).
 		LdThrough(R1, R2, 0).
 		StThrough(R2, 0, R1).
 		StCB1(R2, 0, R1).
 		StCB0(R2, 0, R1).
-		Jmp("end").
-		Label("end").
+		Jmp(end).
+		Bind(end).
 		Done().
 		MustBuild()
 	for _, in := range p.Ins {
@@ -264,5 +350,6 @@ func TestMustBuildPanicsOnBadLabel(t *testing.T) {
 			t.Fatal("MustBuild should panic on unresolved label")
 		}
 	}()
-	NewBuilder().Jmp("missing").MustBuild()
+	b := NewBuilder()
+	b.Jmp(b.NewLabel()).MustBuild()
 }

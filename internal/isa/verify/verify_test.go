@@ -82,8 +82,9 @@ func TestFallthroughOffEnd(t *testing.T) {
 
 func TestNoReachableDone(t *testing.T) {
 	b := isa.NewBuilder()
-	b.Label("spin")
-	b.Jmp("spin")
+	spin := b.NewLabel()
+	b.Bind(spin)
+	b.Jmp(spin)
 	r := Program(b.MustBuild(), Options{})
 	wantDiag(t, r, "structure", "no reachable done")
 	wantDiag(t, r, "bound", "unbounded loop")
@@ -210,10 +211,11 @@ func TestDoneInsideSyncPhase(t *testing.T) {
 
 func TestPathDependentLockBalance(t *testing.T) {
 	b := isa.NewBuilder()
-	b.Beqz(isa.R1, "skip")
+	skip := b.NewLabel()
+	b.Beqz(isa.R1, skip)
 	b.SyncBegin(isa.SyncAcquire)
 	b.SyncEnd(isa.SyncAcquire)
-	b.Label("skip")
+	b.Bind(skip)
 	b.SyncBegin(isa.SyncRelease)
 	b.SyncEnd(isa.SyncRelease)
 	b.Done()
@@ -232,22 +234,24 @@ func TestBlockingOutsideSyncRegion(t *testing.T) {
 
 func TestUnboundedLoop(t *testing.T) {
 	b := isa.NewBuilder()
+	top := b.NewLabel()
 	// Pure-ALU loop with no exit condition the verifier can bound.
 	b.Imm(isa.R1, 1)
-	b.Label("top")
+	b.Bind(top)
 	b.Add(isa.R1, isa.R1, isa.R1)
-	b.Jmp("top")
+	b.Jmp(top)
 	r := Program(b.MustBuild(), Options{})
 	wantDiag(t, r, "bound", "unbounded loop")
 }
 
 func TestCountedLoopBudget(t *testing.T) {
 	b := isa.NewBuilder()
+	top := b.NewLabel()
 	b.Imm(isa.R1, 10)
-	b.Label("top")
+	b.Bind(top)
 	b.Compute(5)
 	b.Addi(isa.R1, isa.R1, ^uint64(0)) // -1
-	b.Bnez(isa.R1, "top")
+	b.Bnez(isa.R1, top)
 	b.Done()
 	r := Program(b.MustBuild(), Options{Mode: ModeStrict})
 	mustClean(t, r)
@@ -259,11 +263,12 @@ func TestCountedLoopBudget(t *testing.T) {
 
 func TestCountedLoopUpwards(t *testing.T) {
 	b := isa.NewBuilder()
+	top := b.NewLabel()
 	b.Imm(isa.R1, 0)
-	b.Label("top")
+	b.Bind(top)
 	b.Compute(3)
 	b.Addi(isa.R1, isa.R1, 2)
-	b.Bnei(isa.R1, 20, "top")
+	b.Bnei(isa.R1, 20, top)
 	b.Done()
 	r := Program(b.MustBuild(), Options{Mode: ModeStrict})
 	mustClean(t, r)
@@ -271,10 +276,11 @@ func TestCountedLoopUpwards(t *testing.T) {
 
 func TestLoopMissingExitValue(t *testing.T) {
 	b := isa.NewBuilder()
+	top := b.NewLabel()
 	b.Imm(isa.R1, 5)
-	b.Label("top")
+	b.Bind(top)
 	b.Addi(isa.R1, isa.R1, 2) // steps 7,9,... never equals 0
-	b.Bnez(isa.R1, "top")
+	b.Bnez(isa.R1, top)
 	b.Done()
 	r := Program(b.MustBuild(), Options{})
 	wantDiag(t, r, "bound", "unbounded loop")
@@ -282,11 +288,12 @@ func TestLoopMissingExitValue(t *testing.T) {
 
 func TestSpinLoopRejectedInStrictMode(t *testing.T) {
 	b := isa.NewBuilder()
+	spin := b.NewLabel()
 	b.SyncBegin(isa.SyncAcquire)
 	b.Imm(isa.R2, uint64(synclib.SharedBase))
-	b.Label("spin")
+	b.Bind(spin)
 	b.Ld(isa.R3, isa.R2, 0)
-	b.Bnez(isa.R3, "spin")
+	b.Bnez(isa.R3, spin)
 	b.SyncEnd(isa.SyncAcquire)
 	b.SyncBegin(isa.SyncRelease)
 	b.SyncEnd(isa.SyncRelease)
@@ -380,10 +387,8 @@ func TestWireRoundTrip(t *testing.T) {
 		t.Fatalf("decode shape mismatch")
 	}
 	for i := range orig.Ins {
-		want := orig.Ins[i]
-		want.Label = "" // labels are not carried on the wire
-		if progs[0].Ins[i] != want {
-			t.Fatalf("instr %d: got %+v want %+v", i, progs[0].Ins[i], want)
+		if progs[0].Ins[i] != orig.Ins[i] {
+			t.Fatalf("instr %d: got %+v want %+v", i, progs[0].Ins[i], orig.Ins[i])
 		}
 	}
 	if opts.Mode != ModeStrict || opts.Footprint == nil {

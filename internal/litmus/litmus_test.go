@@ -30,11 +30,13 @@ func TestMessagePassingRacy(t *testing.T) {
 			StThrough(isa.R1, 0, isa.R2).
 			Done().
 			MustBuild()
-		reader := isa.NewBuilder().
+		b := isa.NewBuilder()
+		spin := b.NewLabel()
+		reader := b.
 			Imm(isa.R1, uint64(y)).
-			Label("spin").
+			Bind(spin).
 			LdThrough(isa.R2, isa.R1, 0).
-			Beqz(isa.R2, "spin").
+			Beqz(isa.R2, spin).
 			Imm(isa.R1, uint64(x)).
 			LdThrough(isa.R3, isa.R1, 0).
 			Done().
@@ -70,11 +72,13 @@ func TestMessagePassingDRF(t *testing.T) {
 			StThrough(isa.R1, 0, isa.R2).
 			Done().
 			MustBuild()
-		reader := isa.NewBuilder().
+		b := isa.NewBuilder()
+		spin := b.NewLabel()
+		reader := b.
 			Imm(isa.R1, uint64(flag)).
-			Label("spin").
+			Bind(spin).
 			LdThrough(isa.R2, isa.R1, 0).
-			Beqz(isa.R2, "spin").
+			Beqz(isa.R2, spin).
 			SelfInvl(). // acquire
 			Imm(isa.R1, uint64(data)).
 			Ld(isa.R3, isa.R1, 0). // DRF read

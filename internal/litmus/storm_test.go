@@ -66,11 +66,13 @@ func TestMessagePassingUnderEvictionStorm(t *testing.T) {
 		StThrough(isa.R1, 0, isa.R2).
 		Done().
 		MustBuild()
-	reader := isa.NewBuilder().
+	b := isa.NewBuilder()
+	spin := b.NewLabel()
+	reader := b.
 		Imm(isa.R1, uint64(y)).
-		Label("spin").
+		Bind(spin).
 		LdCB(isa.R2, isa.R1, 0).
-		Beqz(isa.R2, "spin").
+		Beqz(isa.R2, spin).
 		Imm(isa.R1, uint64(x)).
 		LdThrough(isa.R3, isa.R1, 0).
 		Done().
@@ -78,8 +80,10 @@ func TestMessagePassingUnderEvictionStorm(t *testing.T) {
 	// The storm thread spins racy reads over a spread of addresses that
 	// map across banks, each read installing an entry that displaces
 	// whatever was there.
-	sb := isa.NewBuilder().Imm(isa.R5, 200)
-	sb.Label("storm")
+	sb := isa.NewBuilder()
+	top := sb.NewLabel()
+	sb.Imm(isa.R5, 200)
+	sb.Bind(top)
 	for i := 0; i < 8; i++ {
 		sb.Imm(isa.R1, uint64(x)+0x400+uint64(i)*0x40)
 		sb.LdThrough(isa.R2, isa.R1, 0)
@@ -87,7 +91,7 @@ func TestMessagePassingUnderEvictionStorm(t *testing.T) {
 		sb.StThrough(isa.R1, 0, isa.R3)
 	}
 	sb.Addi(isa.R5, isa.R5, ^uint64(0)) // -1
-	sb.Bnez(isa.R5, "storm")
+	sb.Bnez(isa.R5, top)
 	storm := sb.Done().MustBuild()
 
 	p := Program{

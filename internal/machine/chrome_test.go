@@ -31,9 +31,10 @@ func tasMachine(t *testing.T) (*Machine, func() uint64) {
 	const iters = 2
 	for tid := 0; tid < 2; tid++ {
 		b := isa.NewBuilder()
+		loop := b.NewLabel()
 		lock.EmitInit(b, synclib.FlavorCBOne, tid)
 		b.Imm(isa.R1, iters)
-		b.Label("loop")
+		b.Bind(loop)
 		lock.EmitAcquire(b, synclib.FlavorCBOne, tid)
 		b.Imm(isa.R4, uint64(counter))
 		b.Ld(isa.R5, isa.R4, 0)
@@ -41,7 +42,7 @@ func tasMachine(t *testing.T) (*Machine, func() uint64) {
 		b.St(isa.R4, 0, isa.R5)
 		lock.EmitRelease(b, synclib.FlavorCBOne, tid)
 		b.Addi(isa.R1, isa.R1, ^uint64(0))
-		b.Bnez(isa.R1, "loop")
+		b.Bnez(isa.R1, loop)
 		b.Done()
 		m.Load(tid, b.MustBuild(), nil)
 	}

@@ -65,11 +65,12 @@ func smoke(t *testing.T, p Protocol) Stats {
 	m.Load(0, wb.MustBuild(), nil)
 
 	rb := isa.NewBuilder()
+	spin := rb.NewLabel()
 	rb.Imm(isa.R1, uint64(flag))
 	rb.SyncBegin(isa.SyncWait)
-	rb.Label("spin")
+	rb.Bind(spin)
 	rb.LdThrough(isa.R2, isa.R1, 0)
-	rb.Beqz(isa.R2, "spin")
+	rb.Beqz(isa.R2, spin)
 	rb.SyncEnd(isa.SyncWait)
 	rb.Done()
 	m.Load(1, rb.MustBuild(), nil)
@@ -113,15 +114,16 @@ func TestCallbackProtocolBlocksInsteadOfSpinning(t *testing.T) {
 		m.Load(0, wb.MustBuild(), nil)
 
 		rb := isa.NewBuilder()
+		spin, exit := rb.NewLabel(), rb.NewLabel()
 		rb.Imm(isa.R1, uint64(flag))
 		// Guard + blocking-read spin, as the callback flavour would
 		// emit; under backoff it degenerates to LLC spinning.
-		rb.Label("spin")
+		rb.Bind(spin)
 		rb.LdThrough(isa.R2, isa.R1, 0)
-		rb.Bnez(isa.R2, "exit")
+		rb.Bnez(isa.R2, exit)
 		rb.LdCB(isa.R2, isa.R1, 0)
-		rb.Beqz(isa.R2, "spin")
-		rb.Label("exit")
+		rb.Beqz(isa.R2, spin)
+		rb.Bind(exit)
 		rb.Done()
 		m.Load(1, rb.MustBuild(), nil)
 		if err := m.Run(10_000_000); err != nil {
@@ -267,10 +269,11 @@ func TestRunContextCancel(t *testing.T) {
 		// context the run only ends at the cycle limit.
 		flag := memtypes.Addr(0x1000)
 		rb := isa.NewBuilder()
+		spin := rb.NewLabel()
 		rb.Imm(isa.R1, uint64(flag))
-		rb.Label("spin")
+		rb.Bind(spin)
 		rb.LdThrough(isa.R2, isa.R1, 0)
-		rb.Beqz(isa.R2, "spin")
+		rb.Beqz(isa.R2, spin)
 		rb.Done()
 		m.Load(1, rb.MustBuild(), nil)
 		return m

@@ -94,10 +94,11 @@ func TestWatchdogQuietOnCorrectRun(t *testing.T) {
 	wb.Done()
 	m.Load(0, wb.MustBuild(), nil)
 	rb := isa.NewBuilder()
+	spin := rb.NewLabel()
 	rb.Imm(isa.R1, flag)
-	rb.Label("spin")
+	rb.Bind(spin)
 	rb.LdCB(isa.R2, isa.R1, 0)
-	rb.Beqz(isa.R2, "spin")
+	rb.Beqz(isa.R2, spin)
 	rb.Done()
 	m.Load(1, rb.MustBuild(), nil)
 	if err := m.Run(10_000_000); err != nil {
@@ -179,10 +180,11 @@ func TestChaosConfigWiring(t *testing.T) {
 	wb.Done()
 	m.Load(0, wb.MustBuild(), nil)
 	rb := isa.NewBuilder()
+	spin := rb.NewLabel()
 	rb.Imm(isa.R1, flag)
-	rb.Label("spin")
+	rb.Bind(spin)
 	rb.LdCB(isa.R2, isa.R1, 0)
-	rb.Beqz(isa.R2, "spin")
+	rb.Beqz(isa.R2, spin)
 	rb.Done()
 	m.Load(1, rb.MustBuild(), nil)
 	if err := m.Run(50_000_000); err != nil {

@@ -23,11 +23,12 @@ func loadSmoke(m *Machine) {
 	m.Load(0, wb.MustBuild(), nil)
 
 	rb := isa.NewBuilder()
+	spin := rb.NewLabel()
 	rb.Imm(isa.R1, uint64(flag))
 	rb.SyncBegin(isa.SyncWait)
-	rb.Label("spin")
+	rb.Bind(spin)
 	rb.LdThrough(isa.R2, isa.R1, 0)
-	rb.Beqz(isa.R2, "spin")
+	rb.Beqz(isa.R2, spin)
 	rb.SyncEnd(isa.SyncWait)
 	rb.Done()
 	m.Load(1, rb.MustBuild(), nil)

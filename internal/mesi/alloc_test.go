@@ -16,11 +16,13 @@ func TestL1HitSpinAllocFree(t *testing.T) {
 	r := newRig(t, 4)
 	l1 := r.tiles[1].L1
 	c := cpu.New(r.k, 1, l1, cpu.DefaultConfig(0), nil, nil)
-	c.Run(isa.NewBuilder().
+	b := isa.NewBuilder()
+	spin := b.NewLabel()
+	c.Run(b.
 		Imm(isa.R1, 0x100).
-		Label("spin").
+		Bind(spin).
 		Ld(isa.R2, isa.R1, 0).
-		Beqz(isa.R2, "spin").
+		Beqz(isa.R2, spin).
 		Done().
 		MustBuild(), 0)
 	// Warm up: the first load misses and fills the line; the rest hit.

@@ -44,7 +44,7 @@ func (s *SRBarrier) EmitWait(b *isa.Builder, f Flavor, tid int) {
 		// Writes before the barrier must be visible after it.
 		b.SelfDown()
 	}
-	spin := uniq(b, "sr_spin")
+	spin := b.NewLabel()
 	if s.Lock != nil {
 		// Splash-2 style: lock; c = --C; if c == 0 { C = N }; unlock;
 		// winner flips S, others spin. RegSave survives the embedded
@@ -54,11 +54,11 @@ func (s *SRBarrier) EmitWait(b *isa.Builder, f Flavor, tid int) {
 		b.Ld(RegSave, RegAddr, 0)
 		b.Addi(RegSave, RegSave, ^uint64(0)) // C-1
 		b.St(RegAddr, 0, RegSave)
-		notLast := uniq(b, "sr_notlast")
+		notLast := b.NewLabel()
 		b.Bnez(RegSave, notLast)
 		b.Imm(RegTmp, uint64(s.N))
 		b.St(RegAddr, 0, RegTmp) // reset C under the lock
-		b.Label(notLast)
+		b.Bind(notLast)
 		s.Lock.EmitRelease(b, f, tid)
 		b.Bnez(RegSave, spin)
 		// Winner: flip the global sense (broadcast).
@@ -77,7 +77,7 @@ func (s *SRBarrier) EmitWait(b *isa.Builder, f Flavor, tid int) {
 		emitBroadcastStore(b, f, s.C, RegTmp)
 		emitBroadcastStore(b, f, s.S, RegSense)
 	}
-	b.Label(spin)
+	b.Bind(spin)
 	// spn: wait until S == $s. The winner's store satisfies its own
 	// guard read immediately (Figures 14/15 fall into the spin).
 	emitSpinAddr(b, f, s.S, RegTmp, exitWhenEq(RegSense))
@@ -124,15 +124,10 @@ func NewTreeBarrier(l *Layout, n int) *TreeBarrier {
 	return t
 }
 
-func (t *TreeBarrier) children(tid int) []int {
-	var cs []int
-	if 2*tid+1 < t.N {
-		cs = append(cs, 2*tid+1)
-	}
-	if 2*tid+2 < t.N {
-		cs = append(cs, 2*tid+2)
-	}
-	return cs
+// children returns how many children thread tid has in the binary
+// tree: they are threads 2*tid+1 and, when there are two, 2*tid+2.
+func (t *TreeBarrier) children(tid int) int {
+	return min(max(t.N-(2*tid+1), 0), 2)
 }
 
 // EmitInit initializes the local sense register.
@@ -152,8 +147,7 @@ func (t *TreeBarrier) EmitWait(b *isa.Builder, f Flavor, tid int) {
 	}
 
 	// Arrival: wait for each child, then re-arm its flag.
-	for i, child := range t.children(tid) {
-		_ = child
+	for i := range t.children(tid) {
 		off := int64(treeChild0)
 		if i == 1 {
 			off = treeChild1
@@ -178,8 +172,8 @@ func (t *TreeBarrier) EmitWait(b *isa.Builder, f Flavor, tid int) {
 	}
 
 	// Wakeup: release the children.
-	for _, child := range t.children(tid) {
-		emitBroadcastStore(b, f, t.nodes[child]+treeSense, RegSense)
+	for i := range t.children(tid) {
+		emitBroadcastStore(b, f, t.nodes[2*tid+1+i]+treeSense, RegSense)
 	}
 	if f.SelfInvalidating() {
 		b.SelfInvl()
@@ -223,37 +217,37 @@ func (s *SignalWait) EmitSignal(b *isa.Builder, f Flavor) {
 // load as in Figures 18/19.
 func (s *SignalWait) EmitWait(b *isa.Builder, f Flavor) {
 	b.SyncBegin(isa.SyncWait)
-	tad := uniq(b, "sw_tad")
+	tad := b.NewLabel()
 	b.Imm(RegAddr, uint64(s.C))
 	switch f {
 	case FlavorMESI:
-		spn := uniq(b, "sw_spn")
-		b.Label(spn)
+		spn := b.NewLabel()
+		b.Bind(spn)
 		b.Ld(RegTmp, RegAddr, 0)
 		b.Beqz(RegTmp, spn)
-		b.Label(tad)
+		b.Bind(tad)
 		b.TestDec(RegTmp, RegAddr, 0, memtypes.CBAll)
 		b.Beqz(RegTmp, spn)
 	case FlavorBackoff:
-		spn := uniq(b, "sw_spn")
+		spn := b.NewLabel()
 		b.BackoffReset()
-		b.Label(spn)
+		b.Bind(spn)
 		b.LdThrough(RegTmp, RegAddr, 0)
 		b.Bnez(RegTmp, tad)
 		b.BackoffWait()
 		b.Jmp(spn)
-		b.Label(tad)
+		b.Bind(tad)
 		b.TestDec(RegTmp, RegAddr, 0, memtypes.CBAll)
 		b.Beqz(RegTmp, spn)
 	case FlavorCBAll, FlavorCBOne:
 		// Figure 19: try (guard), spn (ld_cb), tad ({ld}&{st_cb0}).
-		spn := uniq(b, "sw_spn")
+		spn := b.NewLabel()
 		b.LdThrough(RegTmp, RegAddr, 0)
 		b.Bnez(RegTmp, tad)
-		b.Label(spn)
+		b.Bind(spn)
 		b.LdCB(RegTmp, RegAddr, 0)
 		b.Beqz(RegTmp, spn)
-		b.Label(tad)
+		b.Bind(tad)
 		b.TestDec(RegTmp, RegAddr, 0, memtypes.CBZero)
 		b.Beqz(RegTmp, spn)
 	}

@@ -31,21 +31,21 @@ func (t *TASLock) EmitAcquire(b *isa.Builder, f Flavor, tid int) {
 	switch f {
 	case FlavorMESI:
 		// acq: t&s $r, L, 0, 1 ; bnez $r, acq
-		acq := uniq(b, "tas_acq")
-		b.Label(acq)
+		acq := b.NewLabel()
+		b.Bind(acq)
 		b.TAS(RegTmp, RegAddr, 0, false, memtypes.CBAll)
 		b.Bnez(RegTmp, acq)
 	case FlavorBackoff:
 		// Repeated atomics spin on the LLC: back off between attempts.
-		acq := uniq(b, "tas_acq")
-		cs := uniq(b, "tas_cs")
+		acq := b.NewLabel()
+		cs := b.NewLabel()
 		b.BackoffReset()
-		b.Label(acq)
+		b.Bind(acq)
 		b.TAS(RegTmp, RegAddr, 0, false, memtypes.CBAll)
 		b.Beqz(RegTmp, cs)
 		b.BackoffWait()
 		b.Jmp(acq)
-		b.Label(cs)
+		b.Bind(cs)
 		b.SelfInvl()
 	case FlavorCBAll, FlavorCBOne:
 		// Figure 9: a non-callback T&S guard, then a callback T&S
@@ -54,14 +54,14 @@ func (t *TASLock) EmitAcquire(b *isa.Builder, f Flavor, tid int) {
 		if t.ForceCB1Write && f == FlavorCBOne {
 			st = memtypes.CBOne
 		}
-		cs := uniq(b, "tas_cs")
-		spn := uniq(b, "tas_spn")
+		cs := b.NewLabel()
+		spn := b.NewLabel()
 		b.TAS(RegTmp, RegAddr, 0, false, st)
 		b.Beqz(RegTmp, cs)
-		b.Label(spn)
+		b.Bind(spn)
 		b.TAS(RegTmp, RegAddr, 0, true, st)
 		b.Bnez(RegTmp, spn)
-		b.Label(cs)
+		b.Bind(cs)
 		b.SelfInvl()
 	}
 	b.SyncEnd(isa.SyncAcquire)
@@ -101,8 +101,8 @@ func (t *TTASLock) EmitAcquire(b *isa.Builder, f Flavor, tid int) {
 	switch f {
 	case FlavorMESI:
 		// acq: ld $r, L ; bnez $r, acq ; t&s ; bnez $r, acq
-		acq := uniq(b, "ttas_acq")
-		b.Label(acq)
+		acq := b.NewLabel()
+		b.Bind(acq)
 		b.Imm(RegAddr, uint64(t.L))
 		b.Ld(RegTmp, RegAddr, 0)
 		b.Bnez(RegTmp, acq)
@@ -111,20 +111,20 @@ func (t *TTASLock) EmitAcquire(b *isa.Builder, f Flavor, tid int) {
 	case FlavorBackoff:
 		// Figure 10 (right) with exponential back-off on the racy
 		// first Test.
-		acq := uniq(b, "ttas_acq")
-		tas := uniq(b, "ttas_tas")
-		cs := uniq(b, "ttas_cs")
+		acq := b.NewLabel()
+		tas := b.NewLabel()
+		cs := b.NewLabel()
 		b.Imm(RegAddr, uint64(t.L))
 		b.BackoffReset()
-		b.Label(acq)
+		b.Bind(acq)
 		b.LdThrough(RegTmp, RegAddr, 0)
 		b.Beqz(RegTmp, tas)
 		b.BackoffWait()
 		b.Jmp(acq)
-		b.Label(tas)
+		b.Bind(tas)
 		b.TAS(RegTmp, RegAddr, 0, false, memtypes.CBAll)
 		b.Bnez(RegTmp, acq)
-		b.Label(cs)
+		b.Bind(cs)
 		b.SelfInvl()
 	case FlavorCBAll, FlavorCBOne:
 		// Figure 11: guard ld_through, ld_cb spin, non-callback T&S
@@ -134,19 +134,19 @@ func (t *TTASLock) EmitAcquire(b *isa.Builder, f Flavor, tid int) {
 		if t.ForceCB1Write && f == FlavorCBOne {
 			st = memtypes.CBOne
 		}
-		spn := uniq(b, "ttas_spn")
-		tas := uniq(b, "ttas_tas")
-		cs := uniq(b, "ttas_cs")
+		spn := b.NewLabel()
+		tas := b.NewLabel()
+		cs := b.NewLabel()
 		b.Imm(RegAddr, uint64(t.L))
 		b.LdThrough(RegTmp, RegAddr, 0)
 		b.Beqz(RegTmp, tas)
-		b.Label(spn)
+		b.Bind(spn)
 		b.LdCB(RegTmp, RegAddr, 0)
 		b.Bnez(RegTmp, spn)
-		b.Label(tas)
+		b.Bind(tas)
 		b.TAS(RegTmp, RegAddr, 0, false, st)
 		b.Bnez(RegTmp, spn)
-		b.Label(cs)
+		b.Bind(cs)
 		b.SelfInvl()
 	}
 	b.SyncEnd(isa.SyncAcquire)

@@ -130,12 +130,12 @@ func (m *MCSLock) EmitAcquire(b *isa.Builder, f Flavor, tid int) {
 	// pred = swap(tail, node).
 	b.Imm(RegAddr, uint64(m.L))
 	b.FetchStore(RegP, RegAddr, 0, RegI, memtypes.CBAll)
-	done := uniq(b, "mcs_acq_done")
+	done := b.NewLabel()
 	b.Beqz(RegP, done) // queue was empty: lock taken
 	// pred.next = node, then spin on node.locked.
 	racyStore(b, f, RegP, mcsNext, RegI)
 	emitSpinReg(b, f, RegI, mcsLocked, RegTmp, exitWhenZero)
-	b.Label(done)
+	b.Bind(done)
 	if f.SelfInvalidating() {
 		b.SelfInvl()
 	}
@@ -155,8 +155,8 @@ func (m *MCSLock) EmitRelease(b *isa.Builder, f Flavor, tid int) {
 		b.SelfDown()
 	}
 	b.Imm(RegI, node)
-	handoff := uniq(b, "mcs_handoff")
-	out := uniq(b, "mcs_out")
+	handoff := b.NewLabel()
+	out := b.NewLabel()
 	// next = node.next (racy read: a concurrent enqueuer writes it).
 	if f.SelfInvalidating() {
 		b.LdThrough(RegSave, RegI, mcsNext)
@@ -176,7 +176,7 @@ func (m *MCSLock) EmitRelease(b *isa.Builder, f Flavor, tid int) {
 	// CAS lost: a racing enqueuer swapped itself in and is about to
 	// link; transient spin until node.next is written.
 	emitSpinReg(b, f, RegI, mcsNext, RegSave, exitWhenNonZero)
-	b.Label(handoff)
+	b.Bind(handoff)
 	// next.locked = 0: the hand-off. Exactly one thread spins on it, so
 	// st_cb1 fits under callback-one.
 	b.Imm(RegTmp, 0)
@@ -188,6 +188,6 @@ func (m *MCSLock) EmitRelease(b *isa.Builder, f Flavor, tid int) {
 	case FlavorCBOne:
 		b.StCB1(RegSave, mcsLocked, RegTmp)
 	}
-	b.Label(out)
+	b.Bind(out)
 	b.SyncEnd(isa.SyncRelease)
 }

@@ -42,6 +42,7 @@ func TestTicketLockIsFIFO(t *testing.T) {
 			applyInit(m, lay)
 			for tid := 0; tid < cores; tid++ {
 				b := isa.NewBuilder()
+				mul, muldone := b.NewLabel(), b.NewLabel()
 				lock.EmitInit(b, f, tid)
 				b.Compute(uint64(1 + tid*3000)) // force arrival order 0..8
 				lock.EmitAcquire(b, f, tid)
@@ -51,12 +52,12 @@ func TestTicketLockIsFIFO(t *testing.T) {
 				b.Imm(isa.R4, uint64(logBase))
 				b.Imm(isa.R5, 64)
 				b.Imm(isa.R6, 0)
-				b.Label("mul") // R6 = slot*64 via repeated add
-				b.Beqz(isa.R3, "muldone")
+				b.Bind(mul) // R6 = slot*64 via repeated add
+				b.Beqz(isa.R3, muldone)
 				b.Add(isa.R6, isa.R6, isa.R5)
 				b.Addi(isa.R3, isa.R3, ^uint64(0))
-				b.Jmp("mul")
-				b.Label("muldone")
+				b.Jmp(mul)
+				b.Bind(muldone)
 				b.Add(isa.R4, isa.R4, isa.R6)
 				b.Imm(isa.R7, uint64(tid+1))
 				b.St(isa.R4, 0, isa.R7)

@@ -178,11 +178,6 @@ type Barrier interface {
 	EmitWait(b *isa.Builder, f Flavor, tid int)
 }
 
-// uniq generates a unique label from the builder position.
-func uniq(b *isa.Builder, prefix string) string {
-	return fmt.Sprintf("%s_%d", prefix, b.Pos())
-}
-
 // emitSpinReg emits the flavour-appropriate spin-exit sequence on the
 // address regs[base]+off: repeat { load } until exitWhen branches out,
 // leaving the final value in rd. For MESI the load is a plain cached ld
@@ -191,52 +186,52 @@ func uniq(b *isa.Builder, prefix string) string {
 // ld_through followed by a ld_cb loop (the forward-progress rule of
 // Section 3.3).
 func emitSpinReg(b *isa.Builder, f Flavor, base isa.Reg, off int64, rd isa.Reg,
-	exitWhen func(b *isa.Builder, rd isa.Reg, exit string)) {
-	exit := uniq(b, "spin_exit")
+	exitWhen func(b *isa.Builder, rd isa.Reg, exit isa.Label)) {
+	exit := b.NewLabel()
 	switch f {
 	case FlavorMESI:
-		top := uniq(b, "spin")
-		b.Label(top)
+		top := b.NewLabel()
+		b.Bind(top)
 		b.Ld(rd, base, off)
 		exitWhen(b, rd, exit)
 		b.Jmp(top)
 	case FlavorBackoff:
-		top := uniq(b, "spin")
+		top := b.NewLabel()
 		b.BackoffReset()
-		b.Label(top)
+		b.Bind(top)
 		b.LdThrough(rd, base, off)
 		exitWhen(b, rd, exit)
 		b.BackoffWait()
 		b.Jmp(top)
 	case FlavorCBAll, FlavorCBOne:
 		// Guard ld_through (non-blocking callback), then ld_cb loop.
-		top := uniq(b, "spin_cb")
+		top := b.NewLabel()
 		b.LdThrough(rd, base, off)
 		exitWhen(b, rd, exit)
-		b.Label(top)
+		b.Bind(top)
 		b.LdCB(rd, base, off)
 		exitWhen(b, rd, exit)
 		b.Jmp(top)
 	}
-	b.Label(exit)
+	b.Bind(exit)
 }
 
 // emitSpinAddr is emitSpinReg on an immediate address (clobbers RegAddr).
 func emitSpinAddr(b *isa.Builder, f Flavor, addr memtypes.Addr, rd isa.Reg,
-	exitWhen func(b *isa.Builder, rd isa.Reg, exit string)) {
+	exitWhen func(b *isa.Builder, rd isa.Reg, exit isa.Label)) {
 	b.Imm(RegAddr, uint64(addr))
 	emitSpinReg(b, f, RegAddr, 0, rd, exitWhen)
 }
 
 // exitWhenZero branches to exit when rd == 0.
-func exitWhenZero(b *isa.Builder, rd isa.Reg, exit string) { b.Beqz(rd, exit) }
+func exitWhenZero(b *isa.Builder, rd isa.Reg, exit isa.Label) { b.Beqz(rd, exit) }
 
 // exitWhenNonZero branches to exit when rd != 0.
-func exitWhenNonZero(b *isa.Builder, rd isa.Reg, exit string) { b.Bnez(rd, exit) }
+func exitWhenNonZero(b *isa.Builder, rd isa.Reg, exit isa.Label) { b.Bnez(rd, exit) }
 
 // exitWhenEq returns a predicate branching to exit when rd == reg.
-func exitWhenEq(reg isa.Reg) func(*isa.Builder, isa.Reg, string) {
-	return func(b *isa.Builder, rd isa.Reg, exit string) { b.Beq(rd, reg, exit) }
+func exitWhenEq(reg isa.Reg) func(*isa.Builder, isa.Reg, isa.Label) {
+	return func(b *isa.Builder, rd isa.Reg, exit isa.Label) { b.Beq(rd, reg, exit) }
 }
 
 // storeKind returns the release-store semantics for a flavour: plain st

@@ -37,9 +37,10 @@ var allFlavors = []Flavor{FlavorMESI, FlavorBackoff, FlavorCBAll, FlavorCBOne}
 // {acquire; counter++ (DRF); release}.
 func lockProgram(lock Lock, f Flavor, tid int, counter memtypes.Addr, iters int) *isa.Program {
 	b := isa.NewBuilder()
+	loop := b.NewLabel()
 	lock.EmitInit(b, f, tid)
 	b.Imm(isa.R1, uint64(iters))
-	b.Label("loop")
+	b.Bind(loop)
 	lock.EmitAcquire(b, f, tid)
 	b.Imm(isa.R4, uint64(counter))
 	b.Ld(isa.R5, isa.R4, 0)
@@ -47,7 +48,7 @@ func lockProgram(lock Lock, f Flavor, tid int, counter memtypes.Addr, iters int)
 	b.St(isa.R4, 0, isa.R5)
 	lock.EmitRelease(b, f, tid)
 	b.Addi(isa.R1, isa.R1, ^uint64(0))
-	b.Bnez(isa.R1, "loop")
+	b.Bnez(isa.R1, loop)
 	b.Done()
 	return b.MustBuild()
 }
@@ -105,11 +106,12 @@ func TestCLHLockAllFlavors(t *testing.T) {
 // into R2.
 func barrierProgram(bar Barrier, f Flavor, tid, n int, arr memtypes.Addr, episodes int) *isa.Program {
 	b := isa.NewBuilder()
+	loop := b.NewLabel()
 	bar.EmitInit(b, f, tid)
 	b.Imm(isa.R1, uint64(episodes))
 	b.Imm(isa.R2, 0) // checksum
 	b.Imm(isa.R3, 1) // episode number
-	b.Label("loop")
+	b.Bind(loop)
 	b.Imm(isa.R4, uint64(arr)+uint64(tid)*memtypes.LineBytes)
 	b.St(isa.R4, 0, isa.R3)
 	bar.EmitWait(b, f, tid)
@@ -121,7 +123,7 @@ func barrierProgram(bar Barrier, f Flavor, tid, n int, arr memtypes.Addr, episod
 	bar.EmitWait(b, f, tid)
 	b.Addi(isa.R3, isa.R3, 1)
 	b.Addi(isa.R1, isa.R1, ^uint64(0))
-	b.Bnez(isa.R1, "loop")
+	b.Bnez(isa.R1, loop)
 	b.Done()
 	return b.MustBuild()
 }
@@ -193,22 +195,24 @@ func TestSignalWaitAllFlavors(t *testing.T) {
 			applyInit(m, lay)
 
 			pb := isa.NewBuilder()
+			loop := pb.NewLabel()
 			pb.Imm(isa.R1, waiters*perWaiter)
-			pb.Label("loop")
+			pb.Bind(loop)
 			pb.Compute(30)
 			sw.EmitSignal(pb, f)
 			pb.Addi(isa.R1, isa.R1, ^uint64(0))
-			pb.Bnez(isa.R1, "loop")
+			pb.Bnez(isa.R1, loop)
 			pb.Done()
 			m.Load(0, pb.MustBuild(), nil)
 
 			for w := 1; w <= waiters; w++ {
 				wb := isa.NewBuilder()
+				loop := wb.NewLabel()
 				wb.Imm(isa.R1, perWaiter)
-				wb.Label("loop")
+				wb.Bind(loop)
 				sw.EmitWait(wb, f)
 				wb.Addi(isa.R1, isa.R1, ^uint64(0))
-				wb.Bnez(isa.R1, "loop")
+				wb.Bnez(isa.R1, loop)
 				wb.Done()
 				m.Load(w, wb.MustBuild(), nil)
 			}

@@ -2,6 +2,7 @@ package vips
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/chaos"
 	"repro/internal/core"
@@ -62,7 +63,9 @@ type Bank struct {
 	freeWakes []*wakeEvent
 
 	// parked holds callback reads (and RMWs) blocked in the callback
-	// directory, keyed by word address then core.
+	// directory, keyed by word address then core. A tag's set stays in
+	// the map once its waiters are all woken, so the next park on that
+	// tag allocates nothing; readers skip empty sets.
 	parked map[memtypes.Addr]map[memtypes.NodeID]*memtypes.Message
 
 	// obs, when set, receives callback-directory activity (cb.block,
@@ -444,16 +447,29 @@ func (b *Bank) park(msg *memtypes.Message) {
 	b.observe(trace.KindCBBlock, msg.Core, w)
 }
 
+// parkedOps counts the operations parked in the callback directory.
+func (b *Bank) parkedOps() int {
+	n := 0
+	//cbvet:unordered commutative sum over parked sets
+	for _, m := range b.parked {
+		n += len(m)
+	}
+	return n
+}
+
 // wake services callbacks: parked plain reads are answered directly with
 // the written value ("wakeup messages carry the newly created value");
 // parked RMWs re-enter execution at the LLC.
-func (b *Bank) wake(cores []int, addr memtypes.Addr, value uint64, stale bool) {
-	if len(cores) == 0 {
+// cores is a core mask (bit c = core c), serviced in ascending core
+// order.
+func (b *Bank) wake(cores uint64, addr memtypes.Addr, value uint64, stale bool) {
+	if cores == 0 {
 		return
 	}
 	w := b.cbdir.Tag(addr)
 	m := b.parked[w]
-	for _, c := range cores {
+	for ; cores != 0; cores &= cores - 1 {
+		c := bits.TrailingZeros64(cores)
 		id := memtypes.NodeID(c)
 		parked := m[id]
 		if parked == nil {
@@ -472,9 +488,6 @@ func (b *Bank) wake(cores []int, addr memtypes.Addr, value uint64, stale bool) {
 			continue
 		}
 		b.respond(parked, value, stale)
-	}
-	if len(m) == 0 {
-		delete(b.parked, w)
 	}
 }
 

@@ -45,7 +45,7 @@ func (b *Bank) spuriousWake(addr memtypes.Addr) {
 	}
 	victim := waiters[b.chaos.Pick(len(waiters))]
 	b.cbdir.CancelCallback(victim, addr)
-	b.wake([]int{victim}, addr, b.store.Load(addr), true)
+	b.wake(1<<victim, addr, b.store.Load(addr), true)
 }
 
 // wakeEvent is a wake in flight between a write and its delivery (see
@@ -53,7 +53,7 @@ func (b *Bank) spuriousWake(addr memtypes.Addr) {
 // its bank's free list and services the wakes.
 type wakeEvent struct {
 	b     *Bank
-	cores []int
+	cores uint64 // core mask, as core.Directory.Write returns it
 	addr  memtypes.Addr
 	value uint64
 }
@@ -75,7 +75,7 @@ func (w *wakeEvent) Act(*memtypes.Message, uint64) {
 // directly.
 //
 //cbsim:hotpath
-func (b *Bank) wakeAfter(delay uint64, cores []int, addr memtypes.Addr, value uint64) {
+func (b *Bank) wakeAfter(delay uint64, cores uint64, addr memtypes.Addr, value uint64) {
 	if b.chaos != nil {
 		delay += b.chaos.WakeDelay()
 	}

@@ -1,6 +1,7 @@
 package vips
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/digest"
@@ -91,7 +92,14 @@ func (b *Bank) Digest(h *digest.Hash) {
 		h.Int(len(b.deferq[a]))
 	}
 
-	parkAddrs := digest.SortedKeys(b.parked)
+	// Emptied sets kept for reuse (see Bank.parked) are not state.
+	var parkAddrs []memtypes.Addr
+	for a, m := range b.parked { //cbvet:unordered — keys are sorted before use
+		if len(m) > 0 {
+			parkAddrs = append(parkAddrs, a)
+		}
+	}
+	slices.Sort(parkAddrs)
 	h.Int(len(parkAddrs))
 	for _, a := range parkAddrs {
 		h.U64(uint64(a))

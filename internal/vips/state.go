@@ -62,7 +62,7 @@ func (b *Bank) State() (BankState, error) {
 	if len(b.busy) != 0 || len(b.deferq) != 0 {
 		return BankState{}, fmt.Errorf("vips: bank %d has locked lines", b.id)
 	}
-	if len(b.parked) != 0 {
+	if b.parkedOps() != 0 {
 		return BankState{}, fmt.Errorf("vips: bank %d has parked callback reads", b.id)
 	}
 	//cbvet:unordered existence check only, order-independent

@@ -60,11 +60,4 @@ func (t *Tile) Stats() mem.TileStats {
 
 // Parked reports how many operations are blocked in the bank's callback
 // directory.
-func (t *Tile) Parked() int {
-	n := 0
-	//cbvet:unordered commutative sum over parked sets
-	for _, m := range t.Bank.parked {
-		n += len(m)
-	}
-	return n
-}
+func (t *Tile) Parked() int { return t.Bank.parkedOps() }

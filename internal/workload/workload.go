@@ -185,11 +185,19 @@ func GenerateCustom(p Profile, cores int, lk LockKind, bk BarrierKind, f synclib
 		channels = append(channels, synclib.NewSignalWait(lay))
 	}
 
-	g := &Generated{Profile: p, Flavor: f, Layout: lay}
-	for tid := 0; tid < cores; tid++ {
-		g.Programs = append(g.Programs, buildThread(p, cores, tid, f, barrier, locks, channels,
-			threadData{priv: priv, boundary: boundary, partBytes: partBytes,
-				boundaryLines: boundaryLines, boundaryBytes: boundaryBytes}, csData))
+	// One builder and one random source serve every thread: the builder
+	// is reset and the source reseeded per thread, so buffers grow once
+	// per workload and each program is allocated once, at its exact size.
+	g := &Generated{Profile: p, Flavor: f, Layout: lay, Programs: make([]*isa.Program, cores)}
+	td := threadData{priv: priv, boundary: boundary, partBytes: partBytes,
+		boundaryLines: boundaryLines, boundaryBytes: boundaryBytes}
+	b := isa.NewBuilder()
+	rng := rand.New(rand.NewSource(0))
+	for tid := range g.Programs {
+		b.Reset()
+		rng.Seed(int64(tid)*1000003 + int64(len(p.Name)))
+		buildThread(b, rng, p, cores, tid, f, barrier, locks, channels, td, csData)
+		g.Programs[tid] = b.MustBuild()
 	}
 	return g
 }
@@ -237,12 +245,12 @@ type threadData struct {
 	boundaryBytes int
 }
 
-func buildThread(p Profile, cores, tid int, f synclib.Flavor,
+// buildThread emits thread tid's program into b, drawing its jitter and
+// access mix from rng.
+func buildThread(b *isa.Builder, rng *rand.Rand, p Profile, cores, tid int, f synclib.Flavor,
 	barrier synclib.Barrier, locks []synclib.Lock, channels []*synclib.SignalWait,
-	td threadData, csData memtypes.Addr) *isa.Program {
+	td threadData, csData memtypes.Addr) {
 
-	rng := rand.New(rand.NewSource(int64(tid)*1000003 + int64(len(p.Name))))
-	b := isa.NewBuilder()
 	barrier.EmitInit(b, f, tid)
 	for _, l := range locks {
 		l.EmitInit(b, f, tid)
@@ -318,7 +326,6 @@ func buildThread(p Profile, cores, tid int, f synclib.Flavor,
 		barrier.EmitWait(b, f, tid)
 	}
 	b.Done()
-	return b.MustBuild()
 }
 
 func max(a, b int) int {

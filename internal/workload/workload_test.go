@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/isa"
@@ -48,21 +49,26 @@ func TestByName(t *testing.T) {
 	}
 }
 
+// TestGenerateDeterministic checks that generation through one reused
+// builder and random source leaves no residue between threads or calls:
+// two Generate calls give deep-equal results for every profile, style
+// and flavour, and each program is allocated at its exact size.
 func TestGenerateDeterministic(t *testing.T) {
-	p, _ := ByName("barnes")
-	g1 := Generate(p, 4, StyleScalable, synclib.FlavorCBOne)
-	g2 := Generate(p, 4, StyleScalable, synclib.FlavorCBOne)
-	if len(g1.Programs) != 4 {
-		t.Fatalf("programs = %d, want 4", len(g1.Programs))
-	}
-	for tid := range g1.Programs {
-		a, b := g1.Programs[tid], g2.Programs[tid]
-		if a.Len() != b.Len() {
-			t.Fatalf("thread %d: nondeterministic generation", tid)
-		}
-		for i := range a.Ins {
-			if a.Ins[i] != b.Ins[i] {
-				t.Fatalf("thread %d instr %d differs", tid, i)
+	for _, p := range Profiles() {
+		for _, style := range []SyncStyle{StyleScalable, StyleNaive} {
+			for _, f := range []synclib.Flavor{synclib.FlavorMESI, synclib.FlavorBackoff, synclib.FlavorCBAll, synclib.FlavorCBOne} {
+				g1, g2 := Generate(p, 4, style, f), Generate(p, 4, style, f)
+				if len(g1.Programs) != 4 {
+					t.Fatalf("programs = %d, want 4", len(g1.Programs))
+				}
+				if !reflect.DeepEqual(g1, g2) {
+					t.Fatalf("%s/%s/%s: nondeterministic generation", p.Name, style, f)
+				}
+				for tid, prog := range g1.Programs {
+					if cap(prog.Ins) != len(prog.Ins) {
+						t.Fatalf("%s/%s/%s thread %d: cap %d for %d instructions", p.Name, style, f, tid, cap(prog.Ins), len(prog.Ins))
+					}
+				}
 			}
 		}
 	}
