@@ -29,9 +29,11 @@ race:
 	$(GO) test -race ./...
 
 # test-debug exercises the -tags cbsimdebug build: the noc double-free
-# guard (poison + panic) and its tagged tests.
+# guard (poison + panic), the kernel's actor-ID and message-handle
+# assertions, and their tagged tests, with every protocol's machine,
+# mesi and vips tests running under them.
 test-debug:
-	$(GO) test -tags cbsimdebug ./internal/noc/
+	$(GO) test -tags cbsimdebug ./internal/noc/ ./internal/sim/ ./internal/machine/ ./internal/mesi/ ./internal/vips/
 
 # bench runs every benchmark once: a smoke pass that exercises the figure
 # regeneration paths and the alloc-counting benchmarks without the full

@@ -88,10 +88,11 @@ func BenchmarkTable1Primitives(b *testing.B) {
 // cycle exercises; it must report 0 allocs/op.
 func BenchmarkKernelHotPath(b *testing.B) {
 	k := sim.New()
+	nop := k.Register(nopActor{})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		k.Schedule(1, nopActor{}, nil, 0)
+		k.Schedule(1, nop, nil, 0)
 		k.Step()
 	}
 }

@@ -103,10 +103,11 @@ func run(out string, cores int, benches []string) error {
 	// loop of every simulated cycle. Must stay 0 allocs/op.
 	snap.Benchmarks["kernel_hot_path"] = record(testing.Benchmark(func(b *testing.B) {
 		k := sim.New()
+		nop := k.Register(nopActor{})
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			k.Schedule(1, nopActor{}, nil, 0)
+			k.Schedule(1, nop, nil, 0)
 			k.Step()
 		}
 	}))
@@ -340,11 +341,12 @@ func (nopActor) Act(*memtypes.Message, uint64) {}
 // and immediately reschedules itself period cycles out.
 type spinWaveActor struct {
 	k      *sim.Kernel
+	self   sim.ActorID
 	period uint64
 }
 
 func (a *spinWaveActor) Act(*memtypes.Message, uint64) {
-	a.k.Schedule(a.period, a, nil, 0)
+	a.k.Schedule(a.period, a.self, nil, 0)
 }
 
 // spinWaveSetup populates k with the spin-wave distribution: 64 spinners
@@ -355,11 +357,13 @@ func spinWaveSetup(k *sim.Kernel) {
 	sp := make([]spinWaveActor, spinners)
 	for i := range sp {
 		sp[i] = spinWaveActor{k: k, period: uint64(i%17 + 3)}
-		k.Schedule(sp[i].period, &sp[i], nil, 0)
+		sp[i].self = k.Register(&sp[i])
+		k.Schedule(sp[i].period, sp[i].self, nil, 0)
 	}
 	idle := &spinWaveActor{k: k, period: 2_000_000_000}
+	idle.self = k.Register(idle)
 	for i := 0; i < 1024; i++ {
-		k.At(1_000_000_000+uint64(i), idle, nil, 0)
+		k.At(1_000_000_000+uint64(i), idle.self, nil, 0)
 	}
 }
 

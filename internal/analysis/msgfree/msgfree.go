@@ -414,7 +414,7 @@ func (u *unit) walkCases(e env, body *ast.BlockStmt) env {
 func (u *unit) walkAssign(e env, s *ast.AssignStmt) env {
 	// A message on the RHS that is stored anywhere is handed off.
 	for i, rhs := range s.Rhs {
-		// x := mesh.NewMessage() / x = msg are handled as rebindings
+		// x := mesh.NewMessage(...) / x = msg are handled as rebindings
 		// below when LHS is a tracked variable; everything else is a
 		// hand-off.
 		if len(s.Lhs) == len(s.Rhs) {

@@ -272,37 +272,44 @@ func (d *Directory) victim() *entry {
 	return lru
 }
 
-// install allocates an entry for addr, returning the eviction (if a valid
-// entry was displaced) for the caller to answer.
-func (d *Directory) install(addr memtypes.Addr) (*entry, *Eviction) {
-	var ev *Eviction
-	e := d.victim()
+// install allocates an entry for addr, returning the eviction (ok when a
+// valid entry was displaced) for the caller to answer.
+//
+//cbsim:hotpath
+func (d *Directory) install(addr memtypes.Addr) (e *entry, ev Eviction, ok bool) {
+	e = d.victim()
 	if e.valid {
-		d.stats.Evictions++
-		w := e.waiters()
-		d.stats.StaleWakes += uint64(bits.OnesCount64(w))
-		ev = &Eviction{Addr: e.addr, Waiters: w}
+		ev, ok = d.displace(e), true
 	}
 	e.reset(d.tag(addr), d.cores)
 	d.tick++
 	e.lru = d.tick
 	d.stats.Installs++
-	return e, ev
+	return e, ev, ok
+}
+
+// displace counts the eviction of valid entry e and describes it.
+//
+//cbsim:hotpath
+func (d *Directory) displace(e *entry) Eviction {
+	d.stats.Evictions++
+	w := e.waiters()
+	d.stats.StaleWakes += uint64(bits.OnesCount64(w))
+	return Eviction{Addr: e.addr, Waiters: w}
 }
 
 // CallbackRead processes a ld_cb (or the load half of a callback RMW) by
-// core on addr. Only callback reads install entries. The returned
-// eviction, if non-nil, lists waiters on a displaced entry that the
-// caller must answer with the current (stale) value.
+// core on addr. Only callback reads install entries. When evicted is
+// true, ev lists the waiters on a displaced entry that the caller must
+// answer with the current (stale) value.
 //
 //cbsim:hotpath
-func (d *Directory) CallbackRead(core int, addr memtypes.Addr) (ReadResult, *Eviction) {
+func (d *Directory) CallbackRead(core int, addr memtypes.Addr) (res ReadResult, ev Eviction, evicted bool) {
 	d.checkCore(core)
 	d.stats.Reads++
 	e := d.find(addr)
-	var ev *Eviction
 	if e == nil {
-		e, ev = d.install(addr)
+		e, ev, evicted = d.install(addr)
 	}
 	if e.cb[core] {
 		panic(fmt.Sprintf("core: core %d issued a second callback read on %s while one is pending", core, addr.Word()))
@@ -323,11 +330,11 @@ func (d *Directory) CallbackRead(core int, addr memtypes.Addr) (ReadResult, *Evi
 	}
 	if satisfied {
 		d.stats.Satisfied++
-		return ReadSatisfied, ev
+		return ReadSatisfied, ev, evicted
 	}
 	e.cb[core] = true
 	d.stats.Blocked++
-	return ReadBlocked, ev
+	return ReadBlocked, ev, evicted
 }
 
 // ReadThrough processes a ld_through (or the plain-load half of an RMW) by
@@ -480,13 +487,13 @@ func (d *Directory) HasEntry(addr memtypes.Addr) bool { return d.find(addr) != n
 
 // ForceEvict evicts the pick-th valid entry (in slot order, modulo the
 // live count), returning the eviction for the caller to answer — exactly
-// as if capacity pressure had displaced it. Returns nil when the
+// as if capacity pressure had displaced it. ok is false when the
 // directory is empty. Fault injection uses this to assert the paper's
 // claim that evicting an entry — waiters included — is legal at any time.
-func (d *Directory) ForceEvict(pick int) *Eviction {
+func (d *Directory) ForceEvict(pick int) (ev Eviction, ok bool) {
 	n := d.Live()
 	if n == 0 {
-		return nil
+		return Eviction{}, false
 	}
 	if pick < 0 {
 		pick = -pick
@@ -501,13 +508,11 @@ func (d *Directory) ForceEvict(pick int) *Eviction {
 			k--
 			continue
 		}
-		d.stats.Evictions++
-		w := e.waiters()
-		d.stats.StaleWakes += uint64(bits.OnesCount64(w))
+		ev = d.displace(e)
 		e.valid = false
-		return &Eviction{Addr: e.addr, Waiters: w}
+		return ev, true
 	}
-	return nil
+	return Eviction{}, false
 }
 
 // VisitEntries calls fn for every valid entry in slot order with the

@@ -20,9 +20,9 @@ func TestFigure3Steps(t *testing.T) {
 	// Step 1: the entry is allocated with all F/E bits full; every core
 	// then reads the variable, consuming its own F/E bit.
 	for c := 0; c < 4; c++ {
-		res, ev := d.CallbackRead(c, addrA)
-		if res != ReadSatisfied || ev != nil {
-			t.Fatalf("step 1 core %d: res=%v ev=%v, want satisfied/no eviction", c, res, ev)
+		res, ev, evicted := d.CallbackRead(c, addrA)
+		if res != ReadSatisfied || evicted {
+			t.Fatalf("step 1 core %d: res=%v ev=%+v, want satisfied/no eviction", c, res, ev)
 		}
 	}
 	fe, cb, one, ok := d.EntryState(addrA)
@@ -38,7 +38,7 @@ func TestFigure3Steps(t *testing.T) {
 
 	// Step 2: cores 0 and 2 issue callback reads; they block.
 	for _, c := range []int{0, 2} {
-		res, _ := d.CallbackRead(c, addrA)
+		res, _, _ := d.CallbackRead(c, addrA)
 		if res != ReadBlocked {
 			t.Fatalf("step 2 core %d: want blocked", c)
 		}
@@ -65,7 +65,7 @@ func TestFigure3Steps(t *testing.T) {
 
 	// Step 4: a core with a full F/E bit issues a callback and consumes
 	// the value immediately, leaving both bits unset.
-	res, _ := d.CallbackRead(1, addrA)
+	res, _, _ := d.CallbackRead(1, addrA)
 	if res != ReadSatisfied {
 		t.Fatal("step 4: core 1 should consume immediately")
 	}
@@ -81,8 +81,8 @@ func TestFigure3Steps(t *testing.T) {
 	small := New(1, 4)
 	small.CallbackRead(0, addrA)
 	small.CallbackRead(0, addrA) // blocks: CB[0] set
-	_, ev := small.CallbackRead(1, addrB)
-	if ev == nil || ev.Addr != addrA.Word() || !reflect.DeepEqual(coreList(ev.Waiters), []int{0}) {
+	_, ev, evicted := small.CallbackRead(1, addrB)
+	if !evicted || ev.Addr != addrA.Word() || !reflect.DeepEqual(coreList(ev.Waiters), []int{0}) {
 		t.Fatalf("step 5: eviction = %+v, want waiter 0 on %s", ev, addrA)
 	}
 
@@ -109,7 +109,7 @@ func TestFigure4LockHandoff(t *testing.T) {
 
 	// Establish the step-1 state: entry in One mode with all F/E full
 	// (a previous lock cycle: install + st_cb1 release with no waiters).
-	if res, _ := d.CallbackRead(2, addrA); res != ReadSatisfied {
+	if res, _, _ := d.CallbackRead(2, addrA); res != ReadSatisfied {
 		t.Fatal("setup: install should satisfy")
 	}
 	d.Write(addrA, memtypes.CBOne) // no waiters: One mode, all full
@@ -119,7 +119,7 @@ func TestFigure4LockHandoff(t *testing.T) {
 	}
 
 	// Step 2: core 2 reads the lock; ALL F/E bits go empty in unison.
-	if res, _ := d.CallbackRead(2, addrA); res != ReadSatisfied {
+	if res, _, _ := d.CallbackRead(2, addrA); res != ReadSatisfied {
 		t.Fatal("step 2: core 2 should get the lock value")
 	}
 	fe, _, _, _ = d.EntryState(addrA)
@@ -129,7 +129,7 @@ func TestFigure4LockHandoff(t *testing.T) {
 
 	// Steps 3-5: cores 0, 1, 3 must set callbacks and wait.
 	for _, c := range []int{0, 1, 3} {
-		if res, _ := d.CallbackRead(c, addrA); res != ReadBlocked {
+		if res, _, _ := d.CallbackRead(c, addrA); res != ReadBlocked {
 			t.Fatalf("steps 3-5: core %d should block", c)
 		}
 	}
@@ -195,7 +195,7 @@ func TestFigure5PrematureWake(t *testing.T) {
 	}
 
 	// Step 5: core 3's retry fails (lock taken) and it blocks again.
-	if res, _ := d.CallbackRead(3, addrA); res != ReadBlocked {
+	if res, _, _ := d.CallbackRead(3, addrA); res != ReadBlocked {
 		t.Fatal("core 3 retry should block")
 	}
 
@@ -296,7 +296,7 @@ func TestWordGranularity(t *testing.T) {
 	w1 := memtypes.Addr(0x1008)
 	d.CallbackRead(0, w0)
 	d.CallbackRead(0, w0) // blocks on w0
-	if res, _ := d.CallbackRead(0, w1); res != ReadSatisfied {
+	if res, _, _ := d.CallbackRead(0, w1); res != ReadSatisfied {
 		t.Fatal("same-line different-word read should have its own entry")
 	}
 	if wake := coreList(d.Write(w1, memtypes.CBAll)); len(wake) != 0 {
@@ -313,8 +313,8 @@ func TestEvictionPrefersEntriesWithoutWaiters(t *testing.T) {
 	d.CallbackRead(0, addrA) // waiter on A
 	d.CallbackRead(1, addrB) // B has no waiters, and is MRU
 	// A third address must evict B (no waiters) even though A is LRU.
-	_, ev := d.CallbackRead(2, 0x3000)
-	if ev == nil || ev.Addr != addrB.Word() {
+	_, ev, evicted := d.CallbackRead(2, 0x3000)
+	if !evicted || ev.Addr != addrB.Word() {
 		t.Fatalf("eviction=%+v, want B (no waiters)", ev)
 	}
 	if !d.HasEntry(addrA) {
@@ -330,8 +330,8 @@ func TestEvictionAnswersAllWaiters(t *testing.T) {
 	d.CallbackRead(0, addrA) // now these block
 	d.CallbackRead(1, addrA)
 	d.CallbackRead(3, addrA)
-	_, ev := d.CallbackRead(2, addrB)
-	if ev == nil || !reflect.DeepEqual(coreList(ev.Waiters), []int{0, 1, 3}) {
+	_, ev, evicted := d.CallbackRead(2, addrB)
+	if !evicted || !reflect.DeepEqual(coreList(ev.Waiters), []int{0, 1, 3}) {
 		t.Fatalf("eviction=%+v, want waiters [0 1 3]", ev)
 	}
 	if d.Stats().StaleWakes != 3 {
@@ -353,10 +353,10 @@ func TestCBOneNoWaitersMakesFull(t *testing.T) {
 		}
 	}
 	// Exactly one subsequent read consumes; the next blocks.
-	if res, _ := d.CallbackRead(1, addrA); res != ReadSatisfied {
+	if res, _, _ := d.CallbackRead(1, addrA); res != ReadSatisfied {
 		t.Fatal("first read should consume")
 	}
-	if res, _ := d.CallbackRead(2, addrA); res != ReadBlocked {
+	if res, _, _ := d.CallbackRead(2, addrA); res != ReadBlocked {
 		t.Fatal("second read should block (value already consumed)")
 	}
 }
@@ -450,7 +450,7 @@ func TestPropertyCBAllWakeSet(t *testing.T) {
 			if blockedMask&(1<<c) != 0 {
 				continue
 			}
-			if res, _ := d.CallbackRead(c, addrA); res != ReadSatisfied {
+			if res, _, _ := d.CallbackRead(c, addrA); res != ReadSatisfied {
 				return false
 			}
 		}
@@ -474,8 +474,8 @@ func TestPropertyCBOneSingleWake(t *testing.T) {
 				if pending[c] {
 					continue // core is blocked; cannot issue
 				}
-				res, ev := d.CallbackRead(c, addrA)
-				if ev != nil {
+				res, _, evicted := d.CallbackRead(c, addrA)
+				if evicted {
 					return false // single address: no evictions possible
 				}
 				if res == ReadBlocked {
@@ -523,8 +523,8 @@ func TestPropertyNoLostWaiters(t *testing.T) {
 				if blocked[waiter{c, a}] {
 					continue
 				}
-				res, ev := d.CallbackRead(c, a)
-				if ev != nil {
+				res, ev, evicted := d.CallbackRead(c, a)
+				if evicted {
 					for _, w := range coreList(ev.Waiters) {
 						delete(blocked, waiter{w, ev.Addr})
 					}
@@ -573,7 +573,7 @@ func TestLineGranularTags(t *testing.T) {
 	}
 	d.CallbackRead(0, w0) // install, consume core 0's bit
 	// Same-line different-word read now shares the entry: core 0 blocks.
-	if res, _ := d.CallbackRead(0, w1); res != ReadBlocked {
+	if res, _, _ := d.CallbackRead(0, w1); res != ReadBlocked {
 		t.Fatal("line-granular entry should have been consumed by w0's read")
 	}
 	// A write to the other word wakes it (false sharing of entries).
@@ -592,8 +592,8 @@ func TestEvictLRUPolicy(t *testing.T) {
 	d.CallbackRead(0, addrA) // waiter on A (A is LRU)
 	d.CallbackRead(1, addrB) // B newer, no waiters
 	// Plain LRU evicts A despite its waiter.
-	_, ev := d.CallbackRead(2, 0x3000)
-	if ev == nil || ev.Addr != addrA.Word() {
+	_, ev, evicted := d.CallbackRead(2, 0x3000)
+	if !evicted || ev.Addr != addrA.Word() {
 		t.Fatalf("eviction=%+v, want A under plain LRU", ev)
 	}
 	if !reflect.DeepEqual(coreList(ev.Waiters), []int{0}) {
@@ -648,4 +648,35 @@ func TestNewRejectsMoreCoresThanAMaskHolds(t *testing.T) {
 		}
 	}()
 	New(4, 65)
+}
+
+// TestEvictionsAllocFree pins that directory evictions allocate nothing:
+// under capacity pressure every callback read displaces an entry whose
+// waiter the caller must answer, and ForceEvict (the chaos storm
+// primitive) displaces another, each described by value.
+func TestEvictionsAllocFree(t *testing.T) {
+	d := New(2, 4)
+	addrs := [...]memtypes.Addr{0x1000, 0x2000, 0x3000, 0x4000}
+	i := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		for range 4 {
+			a := addrs[i%len(addrs)]
+			i++
+			d.CallbackRead(0, a)
+			// The second read parks core 0, so the next install
+			// evicts an entry with a waiter.
+			if _, ev, evicted := d.CallbackRead(0, a); evicted && ev.Waiters != 1 {
+				t.Fatalf("eviction of %s answered %v, want core 0", ev.Addr, coreList(ev.Waiters))
+			}
+		}
+		if _, ok := d.ForceEvict(i); !ok {
+			t.Fatal("ForceEvict found no entry in a full directory")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("directory evictions: %v allocs per run, want 0", allocs)
+	}
+	if st := d.Stats(); st.Evictions < 400 {
+		t.Fatalf("Evictions = %d, want the loop to evict on every install", st.Evictions)
+	}
 }

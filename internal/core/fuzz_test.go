@@ -35,7 +35,7 @@ func newRef(cores int, policy WakePolicy) *refDirectory {
 
 // applyEviction validates an eviction reported by the real directory
 // against the model and removes the entry.
-func (r *refDirectory) applyEviction(t *testing.T, ev *Eviction) {
+func (r *refDirectory) applyEviction(t *testing.T, ev Eviction) {
 	t.Helper()
 	e := r.entries[ev.Addr]
 	if e == nil {
@@ -245,8 +245,8 @@ func FuzzDirectory(f *testing.F) {
 				if e := r.entries[addr]; e != nil && e.cb[core] {
 					continue // a parked core never issues another ld_cb
 				}
-				res, ev := d.CallbackRead(core, addr)
-				if ev != nil {
+				res, ev, evicted := d.CallbackRead(core, addr)
+				if evicted {
 					r.applyEviction(t, ev)
 				}
 				want := r.read(core, addr)
@@ -270,8 +270,8 @@ func FuzzDirectory(f *testing.F) {
 					t.Fatalf("%s: CancelCallback(%d, %#x) = %v, model says %v", label, core, uint64(addr), got, want)
 				}
 			default: // forced eviction (the chaos layer's storm primitive)
-				ev := d.ForceEvict(int(b & 0x0f))
-				if ev == nil {
+				ev, evicted := d.ForceEvict(int(b & 0x0f))
+				if !evicted {
 					if len(r.entries) != 0 {
 						t.Fatalf("%s: ForceEvict found nothing but model holds %d entries", label, len(r.entries))
 					}

@@ -64,6 +64,7 @@ type Stats struct {
 // Core is one simulated in-order processor.
 type Core struct {
 	k    *sim.Kernel
+	self sim.ActorID
 	id   memtypes.NodeID
 	port memtypes.Port
 	cfg  Config
@@ -130,7 +131,9 @@ func New(k *sim.Kernel, id memtypes.NodeID, port memtypes.Port, cfg Config,
 	if classify == nil {
 		classify = func(memtypes.Addr) bool { return false }
 	}
-	return &Core{k: k, id: id, port: port, cfg: cfg, isPrivate: classify, onDone: onDone}
+	c := &Core{k: k, id: id, port: port, cfg: cfg, isPrivate: classify, onDone: onDone}
+	c.self = k.Register(c)
+	return c
 }
 
 // ID returns the core's node ID.
@@ -201,7 +204,7 @@ func (c *Core) Run(prog *isa.Program, delay uint64) {
 	}
 	c.prog = prog
 	c.started = true
-	c.k.Schedule(delay, c, nil, stageStep)
+	c.k.Schedule(delay, c.self, nil, stageStep)
 }
 
 // Act runs one of the core's scheduled events (implements sim.Actor).
@@ -240,7 +243,7 @@ func (c *Core) step() {
 	for n := 0; ; n++ {
 		if n >= maxBatch {
 			c.flushExec(elapsed, &rep)
-			c.k.Schedule(elapsed, c, nil, stageStep)
+			c.k.Schedule(elapsed, c.self, nil, stageStep)
 			return
 		}
 		if c.pc < 0 || c.pc >= c.prog.Len() {
@@ -333,7 +336,7 @@ func (c *Core) step() {
 			c.stats.BackoffCycles += wait
 			c.flushExec(elapsed, &rep)
 			c.emit(trace.KindSpinWait, c.k.Now()+elapsed, wait, uint64(c.curKind()))
-			c.k.Schedule(elapsed+wait, c, nil, stageStep)
+			c.k.Schedule(elapsed+wait, c.self, nil, stageStep)
 			return
 		case isa.Done:
 			c.done = true
@@ -344,7 +347,7 @@ func (c *Core) step() {
 			c.flushExec(elapsed, &rep)
 			c.emit(trace.KindDone, c.stats.DoneAt, 0, 0)
 			if c.onDone != nil {
-				c.k.Schedule(elapsed, c, nil, stageDone)
+				c.k.Schedule(elapsed, c.self, nil, stageDone)
 			}
 			return
 		default:
@@ -444,7 +447,7 @@ func (c *Core) issueMem(in *isa.Instr, elapsed uint64) {
 	if elapsed == 0 {
 		c.issue()
 	} else {
-		c.k.Schedule(elapsed, c, nil, stageIssue)
+		c.k.Schedule(elapsed, c.self, nil, stageIssue)
 	}
 }
 

@@ -9,17 +9,28 @@ import (
 )
 
 // fakePort is a flat memory with a fixed response latency. Racy and plain
-// ops behave identically; RMWs apply atomically at response time.
+// ops behave identically; RMWs apply atomically at response time. It is
+// its own actor: each access's event carries the index of the operation
+// it completes.
 type fakePort struct {
 	k       *sim.Kernel
+	self    sim.ActorID
 	latency uint64
 	mem     map[memtypes.Addr]uint64
 	log     []memtypes.OpKind
 	syncOps int
+	ops     []fakeOp
+}
+
+type fakeOp struct {
+	req  *memtypes.Request
+	done memtypes.Completer
 }
 
 func newFakePort(k *sim.Kernel, latency uint64) *fakePort {
-	return &fakePort{k: k, latency: latency, mem: make(map[memtypes.Addr]uint64)}
+	p := &fakePort{k: k, latency: latency, mem: make(map[memtypes.Addr]uint64)}
+	p.self = k.Register(p)
+	return p
 }
 
 func (p *fakePort) Access(req *memtypes.Request, done memtypes.Completer) {
@@ -27,31 +38,31 @@ func (p *fakePort) Access(req *memtypes.Request, done memtypes.Completer) {
 	if req.Sync {
 		p.syncOps++
 	}
-	p.k.Schedule(p.latency, fnActor(func() {
-		var resp memtypes.Response
-		switch req.Kind {
-		case memtypes.OpRead, memtypes.OpReadThrough, memtypes.OpReadCB:
-			resp.Value = p.mem[req.Addr.Word()]
-		case memtypes.OpWrite, memtypes.OpWriteThrough, memtypes.OpWriteCB1, memtypes.OpWriteCB0:
-			p.mem[req.Addr.Word()] = req.Value
-		case memtypes.OpRMW:
-			old := p.mem[req.Addr.Word()]
-			newVal, writes := req.RMW.Apply(old, req.Expect, req.Arg)
-			if writes {
-				p.mem[req.Addr.Word()] = newVal
-			}
-			resp.Value = old
-		case memtypes.OpFenceSelfInvl, memtypes.OpFenceSelfDown:
-			// no-op
-		}
-		done.Complete(resp)
-	}), nil, 0)
+	p.ops = append(p.ops, fakeOp{req, done})
+	p.k.Schedule(p.latency, p.self, nil, uint64(len(p.ops)-1))
 }
 
-// fnActor adapts a function to a sim.Actor for tests.
-type fnActor func()
-
-func (f fnActor) Act(*memtypes.Message, uint64) { f() }
+// Act completes operation i.
+func (p *fakePort) Act(_ *memtypes.Message, i uint64) {
+	req := p.ops[i].req
+	var resp memtypes.Response
+	switch req.Kind {
+	case memtypes.OpRead, memtypes.OpReadThrough, memtypes.OpReadCB:
+		resp.Value = p.mem[req.Addr.Word()]
+	case memtypes.OpWrite, memtypes.OpWriteThrough, memtypes.OpWriteCB1, memtypes.OpWriteCB0:
+		p.mem[req.Addr.Word()] = req.Value
+	case memtypes.OpRMW:
+		old := p.mem[req.Addr.Word()]
+		newVal, writes := req.RMW.Apply(old, req.Expect, req.Arg)
+		if writes {
+			p.mem[req.Addr.Word()] = newVal
+		}
+		resp.Value = old
+	case memtypes.OpFenceSelfInvl, memtypes.OpFenceSelfDown:
+		// no-op
+	}
+	p.ops[i].done.Complete(resp)
+}
 
 func runProgram(t *testing.T, prog *isa.Program, setup func(*Core, *fakePort)) (*Core, *fakePort, *sim.Kernel) {
 	t.Helper()

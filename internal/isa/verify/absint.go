@@ -135,7 +135,8 @@ func (v *verifier) fixpoint() {
 		v.visits[pc]++
 		widen := v.visits[pc] > 64
 
-		outs := v.transfer(pc, v.in[pc].clone())
+		v.cur = *v.in[pc]
+		outs := v.transfer(pc, &v.cur)
 		for _, o := range outs {
 			succ := o.pc
 			if v.in[succ] == nil {
@@ -168,8 +169,8 @@ type edgeOut struct {
 }
 
 // transfer applies instruction pc to state s (which it may mutate) and
-// returns the outgoing edges. It also performs the per-instruction
-// memory and sync checks.
+// returns the outgoing edges, valid until the next call. It also
+// performs the per-instruction memory and sync checks.
 func (v *verifier) transfer(pc int, s *absState) []edgeOut {
 	in := &v.p.Ins[pc]
 
@@ -260,17 +261,20 @@ func (v *verifier) transfer(pc int, s *absState) []edgeOut {
 	// Successor states, with branch refinement: on the edge where a
 	// Beqi/Bnei's condition pins the register to its immediate, the
 	// register becomes that constant.
-	var outs []edgeOut
+	outs := v.outs[:0]
 	switch in.Op {
 	case isa.Done:
 	case isa.Jmp:
 		outs = append(outs, edgeOut{in.Target, s})
 	case isa.Beqi, isa.Bnei:
+		// A branch has at most two successors: the first edge refines
+		// a copy in alt, the last refines s itself.
 		succ := v.successors(pc)
-		for _, sp := range succ {
+		for i, sp := range succ {
 			es := s
-			if len(succ) > 1 {
-				es = s.clone()
+			if i < len(succ)-1 {
+				v.alt = *s
+				es = &v.alt
 			}
 			eqEdge := (in.Op == isa.Beqi && sp == in.Target && sp != pc+1) ||
 				(in.Op == isa.Bnei && sp == pc+1 && sp != in.Target)
@@ -284,6 +288,7 @@ func (v *verifier) transfer(pc int, s *absState) []edgeOut {
 			outs = append(outs, edgeOut{sp, s})
 		}
 	}
+	v.outs = outs
 	return outs
 }
 

@@ -260,6 +260,13 @@ type verifier struct {
 	// visits counts fixpoint visits per PC, to trigger widening.
 	visits []int
 
+	// cur and alt are the fixpoint's scratch states: a visit transfers
+	// a copy of in[pc] held in cur (and alt, for a branch's second
+	// edge), and outs holds the outgoing edges, all consumed before the
+	// next visit. Reusing them keeps a visit allocation-free.
+	cur, alt absState
+	outs     []edgeOut
+
 	// doneBarriers accumulates the barrier count at reachable done
 	// instructions; -2 = none seen yet, -1 = indeterminate.
 	doneBarriers int

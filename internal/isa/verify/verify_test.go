@@ -1,8 +1,10 @@
 package verify
 
 import (
+	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/isa"
 	"repro/internal/memtypes"
@@ -431,5 +433,45 @@ func TestFootprintCoverage(t *testing.T) {
 	}
 	if len(fp.Ranges()) != 2 {
 		t.Fatalf("normalize left %d ranges, want 2", len(fp.Ranges()))
+	}
+}
+
+// TestFixpointVisitsAllocateNoStates pins that a fixpoint visit
+// allocates no abstract state: a counting loop is revisited until
+// widening (64 visits and more), yet verification allocates about one
+// state per instruction, not one or more per visit.
+func TestFixpointVisitsAllocateNoStates(t *testing.T) {
+	b := isa.NewBuilder()
+	loop := b.NewLabel()
+	b.Imm(isa.R2, uint64(synclib.SharedBase))
+	b.Imm(isa.R3, 0)
+	b.Bind(loop)
+	b.Addi(isa.R3, isa.R3, 1)
+	b.St(isa.R2, 0, isa.R3)
+	b.Bnei(isa.R3, 1000, loop)
+	b.Done()
+	p := b.MustBuild()
+	opts := Options{Footprint: testFootprint()}
+	v := newVerifier(p, opts)
+	v.run()
+	visits := 0
+	for _, n := range v.visits {
+		visits += n
+	}
+	if visits < 64 {
+		t.Fatalf("%d fixpoint visits, want widening (>= 64 on the loop) to exercise revisits", visits)
+	}
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		Program(p, opts)
+	}
+	runtime.ReadMemStats(&after)
+	perRun := (after.TotalAlloc - before.TotalAlloc) / runs
+	state := uint64(unsafe.Sizeof(absState{}))
+	t.Logf("%d instructions, %d visits: %d bytes per verification (%d-byte states)", p.Len(), visits, perRun, state)
+	if limit := 4 * uint64(p.Len()) * state; perRun > limit {
+		t.Fatalf("verification allocated %d bytes, above %d: abstract states are allocated per fixpoint visit", perRun, limit)
 	}
 }

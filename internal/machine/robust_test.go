@@ -9,6 +9,7 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/isa"
 	"repro/internal/memtypes"
+	"repro/internal/sim"
 )
 
 // parkedMachine builds a machine whose core 0 parks forever: the second
@@ -31,8 +32,8 @@ func parkedMachine(t *testing.T) *Machine {
 // a parked machine reaches the watchdog instead of draining the queue
 // and hitting the plain deadlock diagnosis.
 func keepAlive(m *Machine) {
-	var tick fnActor
-	tick = func() { m.K.Schedule(100, tick, nil, 0) }
+	var tick sim.ActorID
+	tick = m.K.Register(fnActor(func() { m.K.Schedule(100, tick, nil, 0) }))
 	m.K.Schedule(100, tick, nil, 0)
 }
 

@@ -57,7 +57,16 @@ type Message struct {
 	Src, Dst NodeID
 	Kind     MsgKind
 	Class    MsgClass
-	Addr     Addr
+
+	// Handle is the message's entry in the event kernel's message
+	// table (0 until the message is first scheduled). Events carry the
+	// handle instead of the pointer, so it must survive refills: pooled
+	// messages are recycled and refilled with the handle kept (MsgPool,
+	// Mesh.NewMessage), never by assigning a fresh Message over them.
+	// It is allocator bookkeeping and not folded into digests.
+	Handle uint32
+
+	Addr Addr
 
 	// Core is the original requester when the message is part of a
 	// multi-hop transaction (e.g. a forwarded request or an ack).
@@ -115,7 +124,8 @@ type MsgPool struct {
 	free []*Message
 }
 
-// Get returns a zeroed message, reusing a freed one when available.
+// Get returns a zeroed message (but for its kernel handle), reusing a
+// freed one when available.
 //
 //cbsim:hotpath
 func (p *MsgPool) Get() *Message {
@@ -129,14 +139,48 @@ func (p *MsgPool) Get() *Message {
 	return &Message{}
 }
 
-// Put returns msg to the pool, zeroing it. The caller must not retain
-// msg afterwards: the next Get may hand it out again.
+// Put returns msg to the pool, zeroing all but its kernel handle. The
+// caller must not retain msg afterwards: the next Get may hand it out
+// again.
 //
 //cbsim:hotpath
 func (p *MsgPool) Put(msg *Message) {
-	*msg = Message{}
+	*msg = Message{Handle: msg.Handle}
 	p.free = append(p.free, msg)
 }
 
 // Len reports the number of pooled messages (tests).
 func (p *MsgPool) Len() int { return len(p.free) }
+
+// Enqueue appends msg to the FIFO queue q, taking a backing from free
+// when q has none, and returns the queue and the free list. Controllers
+// keep a queue per busy line; with Dequeue recycling emptied backings,
+// steady-state queueing allocates nothing.
+//
+//cbsim:hotpath
+func Enqueue(q []*Message, free [][]*Message, msg *Message) ([]*Message, [][]*Message) {
+	if q == nil {
+		if n := len(free); n > 0 {
+			q = free[n-1]
+			free[n-1] = nil
+			free = free[:n-1]
+		}
+	}
+	return append(q, msg), free
+}
+
+// Dequeue removes the head of the non-empty FIFO queue q, shifting the
+// rest down so the backing keeps its capacity. It returns the head, the
+// remaining queue (nil once empty) and the free list, to which an
+// emptied backing goes.
+//
+//cbsim:hotpath
+func Dequeue(q []*Message, free [][]*Message) (head *Message, rest []*Message, _ [][]*Message) {
+	head = q[0]
+	n := copy(q, q[1:])
+	q[n] = nil
+	if n == 0 {
+		return head, nil, append(free, q[:0])
+	}
+	return head, q[:n], free
+}

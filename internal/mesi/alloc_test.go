@@ -63,3 +63,37 @@ func TestStaleDataPanics(t *testing.T) {
 		Addr: req.Addr.Line(), Core: 1, Seq: 1,
 	})
 }
+
+// TestDeferredQueueAllocFree pins the directory's contended-line queue at
+// zero allocations: three cores store to one line in a loop, so the line
+// ping-pongs between them and their GetX requests keep queueing behind
+// its in-flight transaction. Emptied queues are reused, not reallocated.
+func TestDeferredQueueAllocFree(t *testing.T) {
+	r := newRig(t, 4)
+	for id := 1; id <= 3; id++ {
+		b := isa.NewBuilder()
+		loop := b.NewLabel()
+		b.Imm(isa.R1, 0x100) // homed at directory 0
+		b.Bind(loop)
+		b.Addi(isa.R2, isa.R2, 1)
+		b.St(isa.R1, 0, isa.R2)
+		b.Jmp(loop)
+		cpu.New(r.k, memtypes.NodeID(id), r.tiles[id].L1, cpu.DefaultConfig(0), nil, nil).Run(b.MustBuild(), 0)
+	}
+	dir := r.tiles[0].Dir
+	for i := 0; i < 20_000; i++ {
+		r.k.Step()
+	}
+	deferred := dir.Stats().Deferred
+	allocs := testing.AllocsPerRun(20, func() {
+		for i := 0; i < 500; i++ {
+			r.k.Step()
+		}
+	})
+	if deferred = dir.Stats().Deferred - deferred; deferred < 100 {
+		t.Fatalf("measured %d deferred requests, want the contended line to queue requests", deferred)
+	}
+	if allocs != 0 {
+		t.Fatalf("%v allocs per 500 events (%d requests deferred), want 0", allocs, deferred)
+	}
+}

@@ -48,6 +48,7 @@ type trans struct {
 // outside the paper's scope.
 type Dir struct {
 	k     *sim.Kernel
+	self  sim.ActorID
 	id    memtypes.NodeID
 	mesh  *noc.Mesh
 	store *mem.Store
@@ -56,8 +57,12 @@ type Dir struct {
 	lines map[memtypes.Addr]*dirLine
 	busy  map[memtypes.Addr]*trans
 	// deferq holds the requests that arrived while their line was busy,
-	// in arrival order; end replays them one at a time.
+	// in arrival order; end replays them one at a time. freeQ keeps the
+	// backings of emptied queues for the next line that needs one, so
+	// steady-state deferral allocates nothing.
 	deferq map[memtypes.Addr][]*memtypes.Message
+	//cbvet:ephemeral allocator free list; holds only emptied queue backings with no protocol meaning
+	freeQ [][]*memtypes.Message
 
 	// freeTrans recycles finished transactions.
 	//cbvet:ephemeral allocator free list; holds only finished transactions with no protocol meaning
@@ -87,13 +92,15 @@ func (d *Dir) accessLat(addr memtypes.Addr, needData bool, syncKind uint8) uint6
 // newDir builds the directory bank for node id; e, when non-nil,
 // jitters its access latencies.
 func newDir(k *sim.Kernel, id memtypes.NodeID, mesh *noc.Mesh, store *mem.Store, e *chaos.Engine) *Dir {
-	return &Dir{
+	d := &Dir{
 		k: k, id: id, mesh: mesh, store: store, chaos: e,
 		data:   mem.NewBank(),
 		lines:  make(map[memtypes.Addr]*dirLine),
 		busy:   make(map[memtypes.Addr]*trans),
 		deferq: make(map[memtypes.Addr][]*memtypes.Message),
 	}
+	d.self = k.Register(d)
+	return d
 }
 
 // Stats returns the directory counters.
@@ -122,7 +129,7 @@ func (d *Dir) admit(msg *memtypes.Message) {
 	line := msg.Addr.Line()
 	if d.busy[line] != nil {
 		d.stats.Deferred++
-		d.deferq[line] = append(d.deferq[line], msg)
+		d.deferq[line], d.freeQ = memtypes.Enqueue(d.deferq[line], d.freeQ, msg)
 		return
 	}
 	d.serve(msg)
@@ -174,12 +181,13 @@ func (d *Dir) end(addr memtypes.Addr) {
 	*t = trans{}
 	d.freeTrans = append(d.freeTrans, t)
 	if q := d.deferq[line]; len(q) > 0 {
-		next := q[0]
-		if len(q) == 1 {
+		next, rest, free := memtypes.Dequeue(q, d.freeQ)
+		if len(rest) == 0 {
 			delete(d.deferq, line)
 		} else {
-			d.deferq[line] = q[1:]
+			d.deferq[line] = rest
 		}
+		d.freeQ = free
 		d.serve(next)
 	}
 }
@@ -223,7 +231,7 @@ func (d *Dir) Deliver(msg *memtypes.Message) {
 func (d *Dir) grant(msg *memtypes.Message, kind memtypes.MsgKind) {
 	lat := d.accessLat(msg.Addr, true, msg.Req.SyncPhase())
 	cycles.Span(d.obs, d.k.Now(), d.k.Now()+lat, msg.Core, cycles.CatLLCStall)
-	d.k.Schedule(lat, d, msg, uint64(kind))
+	d.k.Schedule(lat, d.self, msg, uint64(kind))
 }
 
 // Act fires a grant scheduled by grant (implements sim.Actor): msg is
@@ -233,12 +241,11 @@ func (d *Dir) grant(msg *memtypes.Message, kind memtypes.MsgKind) {
 //
 //cbsim:hotpath
 func (d *Dir) Act(msg *memtypes.Message, kind uint64) {
-	resp := d.mesh.NewMessage()
-	*resp = memtypes.Message{
+	resp := d.mesh.NewMessage(memtypes.Message{
 		Src: d.id, Dst: msg.Src, Kind: memtypes.MsgKind(kind),
 		Class: memtypes.ClassLineData, Addr: msg.Addr, Core: msg.Core,
 		LineData: d.store.LoadLine(msg.Addr), Seq: msg.Seq,
-	}
+	})
 	d.mesh.Send(resp)
 	cycles.Open(d.obs, d.k.Now(), resp.Core, cycles.CatNoC)
 	d.end(msg.Addr)
@@ -274,11 +281,10 @@ func (d *Dir) handleGetS(msg *memtypes.Message) {
 		t := d.begin(msg.Addr)
 		d.stats.Forwards++
 		owner := l.owner
-		fwd := d.mesh.NewMessage()
-		*fwd = memtypes.Message{
+		fwd := d.mesh.NewMessage(memtypes.Message{
 			Src: d.id, Dst: memtypes.NodeID(owner), Kind: MsgFwdGetS,
 			Class: memtypes.ClassControl, Addr: msg.Addr, Core: msg.Core,
-		}
+		})
 		d.mesh.Send(fwd)
 		// The owner round trip is coherence work.
 		cycles.Open(d.obs, d.k.Now(), msg.Core, cycles.CatCoherenceStall)
@@ -307,11 +313,10 @@ func (d *Dir) handleGetX(msg *memtypes.Message) {
 		// Forward to the owner; it invalidates and returns data.
 		t := d.begin(msg.Addr)
 		d.stats.Forwards++
-		fwd := d.mesh.NewMessage()
-		*fwd = memtypes.Message{
+		fwd := d.mesh.NewMessage(memtypes.Message{
 			Src: d.id, Dst: memtypes.NodeID(l.owner), Kind: MsgFwdGetX,
 			Class: memtypes.ClassControl, Addr: msg.Addr, Core: msg.Core,
-		}
+		})
 		d.mesh.Send(fwd)
 		// The owner round trip is coherence work.
 		cycles.Open(d.obs, d.k.Now(), msg.Core, cycles.CatCoherenceStall)
@@ -333,11 +338,10 @@ func (d *Dir) handleGetX(msg *memtypes.Message) {
 		for n := 0; toInv != 0; n++ {
 			if toInv&1 != 0 {
 				d.stats.InvsSent++
-				inv := d.mesh.NewMessage()
-				*inv = memtypes.Message{
+				inv := d.mesh.NewMessage(memtypes.Message{
 					Src: d.id, Dst: memtypes.NodeID(n), Kind: MsgInv,
 					Class: memtypes.ClassControl, Addr: msg.Addr, Core: msg.Core,
-				}
+				})
 				d.mesh.Send(inv)
 			}
 			toInv >>= 1
@@ -367,11 +371,10 @@ func (d *Dir) handlePut(msg *memtypes.Message) {
 	}
 	// A Put from a non-owner is stale (the line was forwarded away in
 	// the meantime): ack and ignore.
-	ack := d.mesh.NewMessage()
-	*ack = memtypes.Message{
+	ack := d.mesh.NewMessage(memtypes.Message{
 		Src: d.id, Dst: msg.Src, Kind: MsgWBAck,
 		Class: memtypes.ClassControl, Addr: msg.Addr, Core: msg.Core,
-	}
+	})
 	d.mesh.Free(msg)
 	d.mesh.Send(ack)
 }

@@ -69,6 +69,7 @@ const (
 // memtypes.Port.
 type L1 struct {
 	k      *sim.Kernel
+	self   sim.ActorID
 	id     memtypes.NodeID
 	mesh   *noc.Mesh
 	store  *mem.Store
@@ -99,10 +100,12 @@ type L1 struct {
 
 // newL1 builds the MESI L1 for core id (32KB, 4-way).
 func newL1(k *sim.Kernel, id memtypes.NodeID, mesh *noc.Mesh, store *mem.Store, bankOf func(memtypes.Addr) memtypes.NodeID, monitor bool) *L1 {
-	return &L1{
+	l := &L1{
 		k: k, id: id, mesh: mesh, store: store, bankOf: bankOf, monitorEnabled: monitor,
 		arr: cache.NewArray[l1Line](32*1024, 4),
 	}
+	l.self = k.Register(l)
+	return l
 }
 
 // Stats returns the L1 counters.
@@ -188,7 +191,7 @@ func (l *L1) respond(delay uint64, done memtypes.Completer, resp memtypes.Respon
 		panic(fmt.Sprintf("mesi: core %d response slot already in use", l.id))
 	}
 	l.resp, l.respTo = resp, done
-	l.k.Schedule(delay, l, nil, evRespond)
+	l.k.Schedule(delay, l.self, nil, evRespond)
 }
 
 // Act runs one of the L1's scheduled events (implements sim.Actor).
@@ -209,12 +212,11 @@ func (l *L1) Act(_ *memtypes.Message, ev uint64) {
 
 //cbsim:hotpath
 func (l *L1) request(kind memtypes.MsgKind, req *memtypes.Request) {
-	msg := l.mesh.NewMessage()
-	*msg = memtypes.Message{
+	msg := l.mesh.NewMessage(memtypes.Message{
 		Src: l.id, Dst: l.bankOf(req.Addr), Kind: kind,
 		Class: memtypes.ClassControl, Addr: req.Addr.Line(),
 		Core: l.id, Req: req, Seq: req.Seq,
-	}
+	})
 	l.mesh.Send(msg)
 	cycles.Open(l.obs, l.k.Now(), l.id, cycles.CatNoC)
 }
@@ -286,19 +288,17 @@ func (l *L1) evictFor(addr memtypes.Addr) {
 	switch v.State.state {
 	case StateM:
 		l.stats.Writebacks++
-		msg := l.mesh.NewMessage()
-		*msg = memtypes.Message{
+		msg := l.mesh.NewMessage(memtypes.Message{
 			Src: l.id, Dst: l.bankOf(v.Addr), Kind: MsgPutM,
 			Class: memtypes.ClassLineData, Addr: v.Addr, Core: l.id,
 			LineData: v.Data,
-		}
+		})
 		l.mesh.Send(msg)
 	case StateE:
-		msg := l.mesh.NewMessage()
-		*msg = memtypes.Message{
+		msg := l.mesh.NewMessage(memtypes.Message{
 			Src: l.id, Dst: l.bankOf(v.Addr), Kind: MsgPutE,
 			Class: memtypes.ClassControl, Addr: v.Addr, Core: l.id,
-		}
+		})
 		l.mesh.Send(msg)
 	case StateS:
 		// Silent eviction: the directory's sharer bit goes stale and a
@@ -313,11 +313,10 @@ func (l *L1) handleInv(msg *memtypes.Message) {
 		l.stats.Invalidations++
 	}
 	l.monitorInvalidated(msg.Addr)
-	ack := l.mesh.NewMessage()
-	*ack = memtypes.Message{
+	ack := l.mesh.NewMessage(memtypes.Message{
 		Src: l.id, Dst: msg.Src, Kind: MsgInvAck,
 		Class: memtypes.ClassControl, Addr: msg.Addr, Core: l.id,
-	}
+	})
 	l.mesh.Free(msg)
 	l.mesh.Send(ack)
 }
@@ -338,12 +337,11 @@ func (l *L1) handleFwd(msg *memtypes.Message) {
 			l.monitorInvalidated(msg.Addr)
 		}
 	}
-	wb := l.mesh.NewMessage()
-	*wb = memtypes.Message{
+	wb := l.mesh.NewMessage(memtypes.Message{
 		Src: l.id, Dst: msg.Src, Kind: MsgDataWB,
 		Class: memtypes.ClassLineData, Addr: msg.Addr, Core: msg.Core,
 		LineData: data,
-	}
+	})
 	l.mesh.Free(msg)
 	l.mesh.Send(wb)
 }

@@ -99,5 +99,5 @@ func (l *L1) monitorInvalidated(addr memtypes.Addr) {
 		l.obs(trace.Event{Kind: trace.KindMonWake, Cycle: l.k.Now(), Node: l.id, Addr: addr.Line()})
 	}
 	// The wakeup costs one cycle of monitor logic before the reload.
-	l.k.Schedule(mem.DefaultL1Latency, l, nil, evResume)
+	l.k.Schedule(mem.DefaultL1Latency, l.self, nil, evResume)
 }

@@ -57,6 +57,7 @@ type Stats struct {
 // Mesh is a width x height 2D mesh network.
 type Mesh struct {
 	k             *sim.Kernel
+	self          sim.ActorID // the mesh's own actor ID: hops are mesh events
 	width, height int
 	// handlers holds the per-node delivery endpoints installed by
 	// Attach during machine wiring.
@@ -104,6 +105,10 @@ type Mesh struct {
 	// a positive residue is a leaked message, a negative one a double
 	// free (message conservation, checked by machine.CheckInvariants).
 	live int
+	// peakLive is live's high-water mark: the number of messages the
+	// pool has ever had out at once, and so its size.
+	//cbvet:ephemeral diagnostic high-water mark; never read by the protocols
+	peakLive int
 
 	// dbg carries the double-free guard state; it is an empty struct
 	// unless built with -tags cbsimdebug (see mesh_debug.go).
@@ -134,6 +139,7 @@ func New(k *sim.Kernel, width, height int, e *chaos.Engine, ideal bool) *Mesh {
 	if e != nil {
 		m.chaosFloor = make([][numDirs + 2]uint64, width*height)
 	}
+	m.self = k.Register(m)
 	return m
 }
 
@@ -157,6 +163,9 @@ func (m *Mesh) chaosClamp(node memtypes.NodeID, slot int, t uint64) uint64 {
 // (allocated by NewMessage, not yet Freed). Negative means a double free
 // slipped past the cbsimdebug guard.
 func (m *Mesh) LiveMessages() int { return m.live }
+
+// PeakLiveMessages reports the most messages ever in flight at once.
+func (m *Mesh) PeakLiveMessages() int { return m.peakLive }
 
 // Nodes returns the number of nodes in the mesh.
 func (m *Mesh) Nodes() int { return m.width * m.height }
@@ -214,14 +223,22 @@ func (m *Mesh) VisitLinkBusy(fn func(node memtypes.NodeID, busy uint64)) {
 	}
 }
 
-// NewMessage returns a zeroed message from the mesh's free list. Senders
-// fill it and pass it to Send; the node that finally consumes it returns
-// it with Free.
+// NewMessage returns a message from the mesh's free list holding v.
+// Senders pass it to Send; the node that finally consumes it returns it
+// with Free. The message keeps its kernel handle (v's is ignored), so a
+// recycled message is scheduled without re-entering the kernel's message
+// table: fill pooled messages only through here.
 //
 //cbsim:hotpath
-func (m *Mesh) NewMessage() *memtypes.Message {
+func (m *Mesh) NewMessage(v memtypes.Message) *memtypes.Message {
 	m.live++
-	return m.getMessage()
+	if m.live > m.peakLive {
+		m.peakLive = m.live
+	}
+	msg := m.getMessage()
+	v.Handle = msg.Handle
+	*msg = v
+	return msg
 }
 
 // Free recycles a message once its final consumer is done with it. The
@@ -280,10 +297,10 @@ func (m *Mesh) Send(msg *memtypes.Message) {
 	if msg.Src == msg.Dst {
 		if m.chaos != nil {
 			t := m.chaosClamp(msg.Dst, floorLocal, m.k.Now()+DefaultLocalLatency+delay)
-			m.k.At(t, m, msg, uint64(msg.Dst))
+			m.k.At(t, m.self, msg, uint64(msg.Dst))
 			return
 		}
-		m.k.Schedule(DefaultLocalLatency, m, msg, uint64(msg.Dst))
+		m.k.Schedule(DefaultLocalLatency, m.self, msg, uint64(msg.Dst))
 		return
 	}
 	m.stats.Messages++
@@ -294,15 +311,15 @@ func (m *Mesh) Send(msg *memtypes.Message) {
 		m.stats.Hops += hops
 		if m.chaos != nil {
 			t := m.chaosClamp(msg.Dst, floorLocal, m.k.Now()+hops*DefaultSwitchLatency+delay)
-			m.k.At(t, m, msg, uint64(msg.Dst))
+			m.k.At(t, m.self, msg, uint64(msg.Dst))
 			return
 		}
-		m.k.Schedule(hops*DefaultSwitchLatency, m, msg, uint64(msg.Dst))
+		m.k.Schedule(hops*DefaultSwitchLatency, m.self, msg, uint64(msg.Dst))
 		return
 	}
 	if m.chaos != nil {
 		if t := m.chaosClamp(msg.Src, floorInject, m.k.Now()+delay); t > m.k.Now() {
-			m.k.At(t, m, msg, uint64(msg.Src))
+			m.k.At(t, m.self, msg, uint64(msg.Src))
 			return
 		}
 	}
@@ -362,7 +379,7 @@ func (m *Mesh) hop(msg *memtypes.Message, at memtypes.NodeID) {
 	if m.chaos != nil {
 		arrive = m.chaosClamp(at, int(dir), arrive+m.chaos.HopJitter())
 	}
-	m.k.At(arrive, m, msg, uint64(next))
+	m.k.At(arrive, m.self, msg, uint64(next))
 }
 
 //cbsim:hotpath

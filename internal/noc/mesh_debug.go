@@ -31,7 +31,7 @@ func (m *Mesh) getMessage() *memtypes.Message {
 		msg := m.dbg.quarantine[n-1]
 		m.dbg.quarantine = m.dbg.quarantine[:n-1]
 		delete(m.dbg.freed, msg)
-		*msg = memtypes.Message{}
+		*msg = memtypes.Message{Handle: msg.Handle}
 		return msg
 	}
 	return m.pool.Get()
@@ -45,6 +45,6 @@ func (m *Mesh) putMessage(msg *memtypes.Message) {
 		m.dbg.freed = make(map[*memtypes.Message]bool)
 	}
 	m.dbg.freed[msg] = true
-	*msg = memtypes.Message{Kind: poisonKind, Value: poisonValue}
+	*msg = memtypes.Message{Kind: poisonKind, Value: poisonValue, Handle: msg.Handle}
 	m.dbg.quarantine = append(m.dbg.quarantine, msg)
 }

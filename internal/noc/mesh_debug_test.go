@@ -13,7 +13,7 @@ import (
 func TestDebugDoubleFreePanics(t *testing.T) {
 	k := sim.New()
 	m := New(k, 2, 2, nil, false)
-	msg := m.NewMessage()
+	msg := m.NewMessage(memtypes.Message{})
 	m.Free(msg)
 	defer func() {
 		r := recover()
@@ -31,7 +31,7 @@ func TestDebugDoubleFreePanics(t *testing.T) {
 func TestDebugFreePoisonsMessage(t *testing.T) {
 	k := sim.New()
 	m := New(k, 2, 2, nil, false)
-	msg := m.NewMessage()
+	msg := m.NewMessage(memtypes.Message{})
 	msg.Kind = memtypes.KindMESIBase
 	msg.Value = 7
 	m.Free(msg)
@@ -43,9 +43,9 @@ func TestDebugFreePoisonsMessage(t *testing.T) {
 func TestDebugReuseReturnsZeroedMessage(t *testing.T) {
 	k := sim.New()
 	m := New(k, 2, 2, nil, false)
-	msg := m.NewMessage()
+	msg := m.NewMessage(memtypes.Message{})
 	m.Free(msg)
-	got := m.NewMessage()
+	got := m.NewMessage(memtypes.Message{})
 	if got != msg {
 		t.Fatalf("quarantine not drained LIFO: got %p, want %p", got, msg)
 	}

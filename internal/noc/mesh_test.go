@@ -146,7 +146,7 @@ func TestXYRoutingIsDeadlockFreeUnderLoad(t *testing.T) {
 		}
 		delay := uint64(rng.Intn(100))
 		msg := &memtypes.Message{Src: src, Dst: dst, Class: class}
-		k.Schedule(delay, fnActor(func() { m.Send(msg) }), nil, 0)
+		k.Schedule(delay, k.Register(fnActor(func() { m.Send(msg) })), nil, 0)
 	}
 	if err := k.Run(0); err != nil {
 		t.Fatal(err)

@@ -39,9 +39,8 @@ func TestPooledSendZeroAllocs(t *testing.T) {
 		}))
 	}
 	send := func() {
-		msg := m.NewMessage()
-		msg.Src, msg.Dst = 0, 15 // corner to corner: 6 hops
-		msg.Class = memtypes.ClassControl
+		// Corner to corner: 6 hops.
+		msg := m.NewMessage(memtypes.Message{Src: 0, Dst: 15, Class: memtypes.ClassControl})
 		m.Send(msg)
 		if err := k.Run(0); err != nil {
 			t.Fatalf("Run: %v", err)
@@ -70,10 +69,7 @@ func TestPooledSendZeroAllocsWithCyclesObserver(t *testing.T) {
 		}))
 	}
 	send := func() {
-		msg := m.NewMessage()
-		msg.Src, msg.Dst = 0, 15
-		msg.Core = 3
-		msg.Class = memtypes.ClassControl
+		msg := m.NewMessage(memtypes.Message{Src: 0, Dst: 15, Core: 3, Class: memtypes.ClassControl})
 		m.Send(msg)
 		if err := k.Run(0); err != nil {
 			t.Fatalf("Run: %v", err)

@@ -11,9 +11,9 @@ import (
 
 func TestScheduleStepNoAllocs(t *testing.T) {
 	k := New()
-	fn := fnActor(func() {}) // static: capturing nothing, allocated once
+	a := fn(k, func() {})
 	allocs := testing.AllocsPerRun(1000, func() {
-		k.Schedule(1, fn, nil, 0)
+		k.Schedule(1, a, nil, 0)
 		if !k.Step() {
 			t.Fatal("Step returned false with a pending event")
 		}
@@ -36,11 +36,12 @@ func (a *recordingActor) Act(msg *memtypes.Message, arg uint64) {
 func TestActorScheduling(t *testing.T) {
 	k := New()
 	a := &recordingActor{}
+	aid := k.Register(a)
 	payload := &memtypes.Message{Seq: 7}
-	k.Schedule(3, a, payload, 42)
-	k.At(5, a, nil, 99)
+	k.Schedule(3, aid, payload, 42)
+	k.At(5, aid, nil, 99)
 	var fnAt uint64
-	k.Schedule(4, fnActor(func() { fnAt = k.Now() }), nil, 0)
+	k.Schedule(4, fn(k, func() { fnAt = k.Now() }), nil, 0)
 	if err := k.Run(0); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -55,22 +56,53 @@ func TestActorScheduling(t *testing.T) {
 	}
 }
 
-func TestNilActorPanics(t *testing.T) {
+func TestRegisterNilPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("nil actor did not panic")
+			t.Fatal("registering a nil actor did not panic")
 		}
 	}()
-	New().Schedule(1, nil, nil, 0)
+	New().Register(nil)
+}
+
+// A message is entered in the handle table once: rescheduling it, or
+// recycling it through a pool that keeps its handle, reuses the entry.
+func TestMessageHandleReused(t *testing.T) {
+	k := New()
+	a := &recordingActor{}
+	aid := k.Register(a)
+	var pool memtypes.MsgPool
+	p1, p2 := pool.Get(), pool.Get()
+	pool.Put(p1)
+	pool.Put(p2)
+	for i := 0; i < 10; i++ {
+		m1, m2 := pool.Get(), pool.Get()
+		k.Schedule(1, aid, m1, 0)
+		k.Schedule(2, aid, m2, 0)
+		if err := k.Run(0); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		pool.Put(m1)
+		pool.Put(m2)
+	}
+	if got := k.MessageHandles(); got != 2 {
+		t.Fatalf("message table holds %d entries after 20 schedules of 2 messages, want 2", got)
+	}
+	for i, msg := range a.msgs {
+		if msg != p1 && msg != p2 {
+			t.Fatalf("event %d delivered %p, not one of the scheduled messages", i, msg)
+		}
+	}
 }
 
 func TestActorScheduleNoAllocs(t *testing.T) {
 	k := New()
 	a := &recordingActor{msgs: make([]*memtypes.Message, 0, 4096), args: make([]uint64, 0, 4096)}
+	aid := k.Register(a)
 	payload := &memtypes.Message{}
 	allocs := testing.AllocsPerRun(1000, func() {
 		a.msgs, a.args = a.msgs[:0], a.args[:0]
-		k.Schedule(1, a, payload, 7)
+		k.Schedule(1, aid, payload, 7)
 		if !k.Step() {
 			t.Fatal("Step returned false with a pending event")
 		}
@@ -80,33 +112,61 @@ func TestActorScheduleNoAllocs(t *testing.T) {
 	}
 }
 
-// Popping must zero the vacated entry in both tiers: otherwise the
-// backing arrays pin the last-popped actor and message forever.
-func TestPopZeroesVacatedSlot(t *testing.T) {
-	a := &recordingActor{}
-	msg := &memtypes.Message{}
+// Fired arena entries are recycled LIFO, so however far the clock sweeps
+// the wheel, the arena never grows past the peak number of pending
+// events.
+func TestArenaBoundedByPeakPending(t *testing.T) {
 	k := New()
-	k.Schedule(1, a, msg, 0)
-	k.Schedule(2, a, msg, 0)
-	if !k.Step() {
-		t.Fatal("Step returned false")
+	sp := make([]spinWaveActor, 64)
+	for i := range sp {
+		sp[i] = spinWaveActor{k: k, period: uint64(i%17 + 3)}
+		sp[i].self = k.Register(&sp[i])
+		k.Schedule(sp[i].period, sp[i].self, nil, 0)
 	}
-	// Cycle 1's wheel slot drained and rewound; its backing entry must
-	// not retain the fired event.
-	e := k.slots[1].ev[:1][0]
-	if e.actor != nil || e.msg != nil {
-		t.Fatalf("vacated wheel slot not zeroed: %+v", e)
+	for i := 0; i < 100_000; i++ {
+		if !k.Step() {
+			t.Fatal("spin wave drained")
+		}
 	}
+	peak := k.Telemetry().MaxPending
+	if entries := uint64(len(k.arena) - 1); entries > peak {
+		t.Fatalf("arena holds %d entries after a 100k-event spin wave, peak pending was %d", entries, peak)
+	}
+	if peak != 64 {
+		t.Fatalf("peak pending = %d, want the 64 spinners", peak)
+	}
+}
 
-	kh := NewHeapOnly()
-	kh.Schedule(1, a, msg, 0)
-	kh.Schedule(2, a, msg, 0)
-	if !kh.Step() {
-		t.Fatal("Step returned false")
+// SetState drops every pending event in both tiers: none fires
+// afterwards, and the arena is ready for new events.
+func TestSetStateDropsArenaEvents(t *testing.T) {
+	k := New()
+	restored := false
+	early := fn(k, func() {
+		if restored {
+			t.Error("dropped event fired")
+		}
+	})
+	// Both tiers hold events when SetState runs: the wheel up to cycle
+	// 500+wheelSlots, the heap beyond.
+	for d := uint64(0); d < 3000; d += 7 {
+		k.Schedule(d, early, nil, 0)
 	}
-	tail := kh.heap[:2][1]
-	if tail.actor != nil || tail.msg != nil {
-		t.Fatalf("vacated heap slot not zeroed: %+v", tail)
+	if err := k.Run(500); err != ErrLimit {
+		t.Fatalf("Run(500) err = %v, want ErrLimit", err)
+	}
+	k.SetState(KernelState{Now: 10_000})
+	restored = true
+	if k.Pending() != 0 {
+		t.Fatalf("Pending = %d after SetState, want 0", k.Pending())
+	}
+	fired := 0
+	k.Schedule(1, fn(k, func() { fired++ }), nil, 0)
+	if err := k.Run(0); err != nil {
+		t.Fatalf("Run after SetState: %v", err)
+	}
+	if fired != 1 || k.Now() != 10_001 {
+		t.Fatalf("fired=%d now=%d after SetState, want 1 event at 10001", fired, k.Now())
 	}
 }
 
@@ -115,16 +175,17 @@ func TestPopZeroesVacatedSlot(t *testing.T) {
 // allocations.
 type spinWaveActor struct {
 	k      *Kernel
+	self   ActorID
 	period uint64
 	fires  uint64
 }
 
 func (a *spinWaveActor) Act(*memtypes.Message, uint64) {
 	a.fires++
-	a.k.Schedule(a.period, a, nil, 0)
+	a.k.Schedule(a.period, a.self, nil, 0)
 }
 
-// benchmarkSpinWave is the ISSUE target distribution: many cores whose
+// benchmarkSpinWave is the kernel's target distribution: many cores whose
 // next wake cycle is already known (short staggered periods -> wheel) plus
 // a block of sparse far-future events (watchdogs, timeouts -> heap) that
 // the heap-only kernel must sift past on every operation.
@@ -133,11 +194,13 @@ func benchmarkSpinWave(b *testing.B, k *Kernel) {
 	sp := make([]spinWaveActor, spinners)
 	for i := range sp {
 		sp[i] = spinWaveActor{k: k, period: uint64(i%17 + 3)}
-		k.Schedule(sp[i].period, &sp[i], nil, 0)
+		sp[i].self = k.Register(&sp[i])
+		k.Schedule(sp[i].period, sp[i].self, nil, 0)
 	}
 	idle := &spinWaveActor{k: k, period: 2_000_000_000}
+	idle.self = k.Register(idle)
 	for i := 0; i < 1024; i++ {
-		k.At(1_000_000_000+uint64(i), idle, nil, 0)
+		k.At(1_000_000_000+uint64(i), idle.self, nil, 0)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -154,7 +217,8 @@ func BenchmarkKernelSpinWave(b *testing.B) {
 func TestSpinWaveNoAllocs(t *testing.T) {
 	k := New()
 	a := &spinWaveActor{k: k, period: 7}
-	k.Schedule(a.period, a, nil, 0)
+	a.self = k.Register(a)
+	k.Schedule(a.period, a.self, nil, 0)
 	allocs := testing.AllocsPerRun(1000, func() {
 		if !k.Step() {
 			t.Fatal("Step returned false with a pending event")

@@ -1,24 +1,35 @@
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
 // Every simulator component (cores, cache controllers, network routers)
-// is an Actor, and every event is an actor event: a receiver plus an
-// inline payload — a message pointer and a scalar — scheduled at an
-// absolute or relative cycle, so nothing allocates. Events that share a
-// cycle fire in scheduling order, which makes every run bit-reproducible:
-// the queue is ordered by (time, sequence number).
+// is an Actor, registered once with the kernel at construction: Register
+// returns the ActorID that events address it by. An event is 32 bytes of
+// plain data with no pointers — {when, seq, arg, actor, msg} — where msg
+// is a handle into the kernel's message table (0 for no message). A
+// message is entered in the table the first time it is scheduled and
+// keeps its handle in Message.Handle for the rest of its pooled life, so
+// the table stays as large as the mesh's message pool; the handle is
+// resolved back to the *memtypes.Message just before Act. Events that
+// share a cycle fire in scheduling order, which makes every run
+// bit-reproducible: the queue is ordered by (time, sequence number).
 //
 // The scheduler is two-tiered. Near-future events — the overwhelmingly
 // common case: NoC hops, cache latencies, spin retries, known next-wakes
 // of parked cores — go to a fixed-size calendar wheel with one slot per
-// cycle, giving O(1) schedule and pop. Far-future events overflow into a
-// hand-rolled typed binary min-heap (container/heap would box every event
-// into an `any`, costing an allocation and an indirect call per event) and
-// lazily migrate onto the wheel as the clock approaches them. Advancing
-// the clock scans the wheel's occupancy bitmap, so a fully quiescent phase
-// — every core parked with a known wake cycle — costs one bitmap jump to
-// the next occupied slot instead of per-cycle scans. Both tiers keep
-// events in flat pre-grown arrays and perform zero heap allocations per
-// Schedule/Step in steady state.
+// cycle, giving O(1) schedule and pop. The wheel's events live in one
+// kernel-owned arena: each slot is a {head, tail} FIFO list through a
+// parallel link array, in sequence order, and fired entries go onto a
+// LIFO free list, so the memory the wheel touches stays the size of the
+// pending-event count however far the clock sweeps. Far-future events
+// overflow into a hand-rolled typed binary min-heap of the same 32-byte
+// values (container/heap would box every event into an `any`, costing an
+// allocation and an indirect call per event) and migrate onto the wheel
+// as the clock approaches them, by an ordered insert into their slot's
+// list. Advancing the clock scans the wheel's occupancy bitmap, so a
+// fully quiescent phase — every core parked with a known wake cycle —
+// costs one bitmap jump to the next occupied slot instead of per-cycle
+// scans. Neither tier holds a pointer, so the garbage collector never
+// scans them, and Schedule/Step perform zero heap allocations in steady
+// state.
 package sim
 
 import (
@@ -33,21 +44,26 @@ import (
 var ErrLimit = errors.New("sim: cycle limit reached with pending events")
 
 // Actor is a pre-bound event target: a long-lived object (a core, a
-// controller, the mesh) that many events fire against. The receiver, a
-// message payload and a small scalar are stored inline in the event, so
-// scheduling allocates nothing.
+// controller, the mesh) that many events fire against. It is registered
+// with the kernel once, and events carry its ActorID, a message handle
+// and a small scalar, so scheduling allocates nothing.
 type Actor interface {
 	// Act fires the event. msg and arg are the values passed to
 	// At/Schedule, verbatim; msg may be nil.
 	Act(msg *memtypes.Message, arg uint64)
 }
 
+// ActorID names an actor registered with a kernel (see Register).
+type ActorID uint32
+
+// event is one pending event: plain data, no pointers. msg is a handle
+// into the kernel's message table; 0 means no message.
 type event struct {
 	when  uint64
 	seq   uint64
-	actor Actor
-	msg   *memtypes.Message
 	arg   uint64
+	actor ActorID
+	msg   uint32
 }
 
 // before orders events by (time, sequence number).
@@ -68,20 +84,23 @@ const (
 	wheelWords = wheelSlots / 64
 )
 
-// slotCap is the pre-grown per-slot capacity: slots that ever need more
-// keep their grown backing across reuse, so growth is one-time per slot.
-const slotCap = 2
-
-// wheelSlot holds the pending events of one cycle. ev[head:] are live, in
-// sequence order; entries before head have fired and are zeroed.
+// wheelSlot is one cycle's FIFO list of arena entries in sequence order;
+// 0 marks the end of a list (arena entry 0 is never used).
 type wheelSlot struct {
-	ev   []event
-	head int
+	head, tail int32
 }
 
-// initialHeapCap pre-grows the overflow heap so steady-state far-future
-// scheduling never reallocates the backing array.
-const initialHeapCap = 4096
+// Initial capacities. The arena grows to the peak number of pending wheel
+// events and the message table to the number of distinct messages ever
+// scheduled; both keep their backing across SetState, so steady-state
+// scheduling never reallocates. The actor table fits a 64-core machine's
+// three actors per tile plus the mesh without growing.
+const (
+	initialArenaCap = 256
+	initialHeapCap  = 4096
+	initialMsgCap   = 64
+	initialActorCap = 256
+)
 
 // Telemetry counts scheduler-internal activity, for attributing kernel
 // speedups (cmd/benchsnap records it next to the benchmark numbers). The
@@ -98,10 +117,24 @@ type Telemetry struct {
 // Kernel is a discrete-event simulator clock and event queue.
 // The zero value is ready to use at cycle 0.
 type Kernel struct {
-	slots  []wheelSlot // calendar wheel (nil until first use of a zero Kernel)
-	occ    []uint64    // occupancy bitmap, one bit per slot
-	heap   []event     // overflow tier for events >= wheelSlots cycles out
-	nwheel int         // live events on the wheel
+	slots []wheelSlot // calendar wheel (nil until first use of a zero Kernel)
+	occ   []uint64    // occupancy bitmap, one bit per slot
+	// arena holds the wheel's events; link[i] is the entry after i in
+	// its slot's list, or in the free list once i has fired. Entry 0 is
+	// the list terminator.
+	arena  []event
+	link   []int32
+	free   int32   // head of the LIFO free list of fired entries, 0 if empty
+	heap   []event // overflow tier for events >= wheelSlots cycles out
+	nwheel int     // live events on the wheel
+
+	// actors and msgs resolve an event's actor ID and message handle.
+	// Both are append-only: an ID or handle, once issued, names the same
+	// object for the kernel's lifetime. msgs[0] is nil (no message).
+	//cbvet:ephemeral wiring: actors register at construction and are re-registered by the machine that owns them, not restored
+	actors []Actor
+	//cbvet:ephemeral handle table of pooled messages; a quiescent kernel schedules none, and the handles stay valid across SetState
+	msgs []*memtypes.Message
 
 	now  uint64
 	seq  uint64
@@ -125,7 +158,7 @@ type Kernel struct {
 
 // New returns a kernel at cycle zero with pre-grown event queues.
 func New() *Kernel {
-	k := &Kernel{heap: make([]event, 0, initialHeapCap)}
+	k := newKernel()
 	k.initWheel()
 	return k
 }
@@ -136,19 +169,50 @@ func New() *Kernel {
 // (time, sequence) contract); only the constant factor differs. It exists
 // for the wheel-vs-heap identity tests and benchmark baselines.
 func NewHeapOnly() *Kernel {
-	return &Kernel{heap: make([]event, 0, initialHeapCap), heapOnly: true}
+	k := newKernel()
+	k.heapOnly = true
+	return k
 }
 
-// initWheel allocates the wheel: all slots share one flat pre-grown
-// backing array so steady-state scheduling touches no allocator.
+// newKernel returns a kernel at cycle zero with pre-grown tables and heap.
+func newKernel() *Kernel {
+	return &Kernel{
+		heap:   make([]event, 0, initialHeapCap),
+		actors: make([]Actor, 0, initialActorCap),
+		msgs:   make([]*memtypes.Message, 1, initialMsgCap),
+	}
+}
+
+// initWheel allocates the wheel's slots, bitmap and pre-grown arena.
 func (k *Kernel) initWheel() {
 	k.slots = make([]wheelSlot, wheelSlots)
 	k.occ = make([]uint64, wheelWords)
-	backing := make([]event, wheelSlots*slotCap)
-	for i := range k.slots {
-		k.slots[i].ev = backing[:0:slotCap]
-		backing = backing[slotCap:]
+	k.arena = make([]event, 1, initialArenaCap)
+	k.link = make([]int32, 1, initialArenaCap)
+}
+
+// Register enters a in the kernel's actor table and returns the ID that
+// Schedule and At address it by. Components register themselves once, at
+// construction; IDs are never reused.
+func (k *Kernel) Register(a Actor) ActorID {
+	if a == nil {
+		panic("sim: nil actor")
 	}
+	if k.msgs == nil {
+		k.msgs = make([]*memtypes.Message, 1, initialMsgCap)
+	}
+	k.actors = append(k.actors, a)
+	return ActorID(len(k.actors) - 1)
+}
+
+// MessageHandles reports how many distinct messages have been entered in
+// the kernel's message table. Messages keep their handle across pool
+// reuse, so in a machine it stays at most the mesh pool's size.
+func (k *Kernel) MessageHandles() int {
+	if len(k.msgs) == 0 {
+		return 0
+	}
+	return len(k.msgs) - 1
 }
 
 // Now reports the current simulation cycle.
@@ -163,105 +227,168 @@ func (k *Kernel) Pending() int { return k.nwheel + len(k.heap) }
 // Telemetry returns the scheduler-internal counters accumulated so far.
 func (k *Kernel) Telemetry() Telemetry { return k.tele }
 
-// Schedule runs a.Act(msg, arg) delay cycles from now. A delay of zero
+// Schedule runs a's Act(msg, arg) delay cycles from now. A delay of zero
 // fires later in the current cycle, after all previously scheduled events
 // for this cycle.
 //
 //cbsim:hotpath
-func (k *Kernel) Schedule(delay uint64, a Actor, msg *memtypes.Message, arg uint64) {
+func (k *Kernel) Schedule(delay uint64, a ActorID, msg *memtypes.Message, arg uint64) {
 	k.At(k.now+delay, a, msg, arg)
 }
 
-// At runs a.Act(msg, arg) at the absolute cycle when. A when earlier than
-// Now() is clamped to now: the event fires later in the current cycle,
-// after all previously scheduled events, exactly like Schedule(0, ...).
-// Protocol layers compute absolute deadlines such as "FIFO floor +
-// latency" whose floor may already have passed; the clamp makes that
-// well-defined instead of a time-travel bug.
+// At runs a's Act(msg, arg) at the absolute cycle when. A when earlier
+// than Now() is clamped to now: the event fires later in the current
+// cycle, after all previously scheduled events, exactly like
+// Schedule(0, ...). Protocol layers compute absolute deadlines such as
+// "FIFO floor + latency" whose floor may already have passed; the clamp
+// makes that well-defined instead of a time-travel bug.
 //
 //cbsim:hotpath
-func (k *Kernel) At(when uint64, a Actor, msg *memtypes.Message, arg uint64) {
-	if a == nil {
-		panic("sim: nil event actor")
+func (k *Kernel) At(when uint64, a ActorID, msg *memtypes.Message, arg uint64) {
+	k.checkActor(a)
+	k.push(when, arg, a, k.handle(msg))
+}
+
+// handle returns msg's message-table handle, entering msg in the table
+// the first time it is scheduled. A pooled message keeps its handle
+// across reuse (the pool and Mesh.NewMessage preserve it), so the table
+// grows only with the pool.
+//
+//cbsim:hotpath
+func (k *Kernel) handle(msg *memtypes.Message) uint32 {
+	if msg == nil {
+		return 0
 	}
-	k.push(event{when: when, actor: a, msg: msg, arg: arg})
+	h := msg.Handle
+	if h == 0 {
+		h = uint32(len(k.msgs))
+		k.msgs = append(k.msgs, msg)
+		msg.Handle = h
+	}
+	k.checkHandle(h, msg)
+	return h
 }
 
 // push inserts an event, assigning its sequence number, into the wheel
-// (near future) or the overflow heap (far future).
+// (near future) or the overflow heap (far future). A wheel event is
+// written straight into its arena entry and appended to its slot's list:
+// direct pushes take sequence numbers in increasing order, so the tail is
+// always the right place.
 //
 //cbsim:hotpath
-func (k *Kernel) push(e event) {
-	if e.when < k.now {
-		e.when = k.now // clamp: see At
+func (k *Kernel) push(when, arg uint64, a ActorID, msg uint32) {
+	if when < k.now {
+		when = k.now // clamp: see At
 	}
-	e.seq = k.seq
+	seq := k.seq
 	k.seq++
 	k.cached = false
-	if !k.heapOnly && e.when-k.now < wheelSlots {
-		if k.slots == nil {
-			k.initWheel()
-		}
-		k.wheelPush(e)
-	} else {
-		k.tele.HeapPushes++
-		k.heapPush(e)
+	if k.heapOnly || when-k.now >= wheelSlots {
+		k.pushHeap(event{when: when, seq: seq, arg: arg, actor: a, msg: msg})
+		return
 	}
+	if k.slots == nil {
+		k.initWheel()
+	}
+	i := k.alloc()
+	e := &k.arena[i]
+	e.when, e.seq, e.arg, e.actor, e.msg = when, seq, arg, a, msg
+	k.link[i] = 0
+	si := int(when) & wheelMask
+	s := &k.slots[si]
+	if s.head == 0 {
+		s.head = i
+		k.occ[si>>6] |= 1 << uint(si&63)
+	} else {
+		k.link[s.tail] = i
+	}
+	s.tail = i
+	k.notePending()
+}
+
+// pushHeap is push's far-future path, kept out of line so the wheel path
+// stays small.
+//
+//go:noinline
+//cbsim:hotpath
+func (k *Kernel) pushHeap(e event) {
+	k.tele.HeapPushes++
+	k.heapPush(e)
+	k.notePending()
+}
+
+// notePending updates the pending-event high-water mark.
+//
+//cbsim:hotpath
+func (k *Kernel) notePending() {
 	if p := uint64(k.nwheel + len(k.heap)); p > k.tele.MaxPending {
 		k.tele.MaxPending = p
 	}
 }
 
-// wheelPush inserts an event with now <= e.when < now+wheelSlots into its
-// slot, keeping the slot in sequence order. Direct pushes append (their
-// sequence numbers are monotone); only a heap->wheel migration can arrive
-// with a sequence number below an already-slotted event, taking the
-// binary-insert path.
+// alloc takes an arena entry for a new wheel event, reusing the most
+// recently fired one (LIFO keeps the working set hot) or growing the
+// arena.
 //
 //cbsim:hotpath
-func (k *Kernel) wheelPush(e event) {
+func (k *Kernel) alloc() int32 {
 	k.tele.WheelPushes++
-	si := int(e.when) & wheelMask
-	s := &k.slots[si]
-	wasEmpty := s.head == len(s.ev)
-	if n := len(s.ev); wasEmpty || s.ev[n-1].seq < e.seq {
-		s.ev = append(s.ev, e)
-	} else {
-		s.ev = append(s.ev, event{})
-		lo, hi := s.head, n
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if s.ev[mid].seq < e.seq {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		copy(s.ev[lo+1:], s.ev[lo:n])
-		s.ev[lo] = e
-	}
-	if wasEmpty {
-		k.occ[si>>6] |= 1 << uint(si&63)
-	}
 	k.nwheel++
+	if i := k.free; i != 0 {
+		k.free = k.link[i]
+		return i
+	}
+	k.arena = append(k.arena, event{})
+	k.link = append(k.link, 0)
+	return int32(len(k.arena) - 1)
 }
 
-// popSlot removes the earliest (lowest-sequence) event of slot si, zeroing
-// the vacated entry so the popped actor and message stay collectable. A drained slot rewinds to reuse its backing.
+// wheelInsert adds a migrated heap event to its slot in sequence order:
+// it may carry a lower sequence number than events pushed onto the slot
+// directly after it was scheduled.
 //
 //cbsim:hotpath
-func (k *Kernel) popSlot(si int) event {
+func (k *Kernel) wheelInsert(e event) {
+	i := k.alloc()
+	k.arena[i] = e
+	si := int(e.when) & wheelMask
 	s := &k.slots[si]
-	e := s.ev[s.head]
-	s.ev[s.head] = event{}
-	s.head++
-	if s.head == len(s.ev) {
-		s.ev = s.ev[:0]
-		s.head = 0
+	if s.head == 0 {
+		k.occ[si>>6] |= 1 << uint(si&63)
+	}
+	var prev int32
+	next := s.head
+	for next != 0 && k.arena[next].seq < e.seq {
+		prev, next = next, k.link[next]
+	}
+	k.link[i] = next
+	if prev == 0 {
+		s.head = i
+	} else {
+		k.link[prev] = i
+	}
+	if next == 0 {
+		s.tail = i
+	}
+}
+
+// popSlot unlinks the earliest (lowest-sequence) event of slot si and
+// puts its arena entry on the free list, returning the entry. The entry
+// keeps its contents until the next alloc reuses it.
+//
+//cbsim:hotpath
+func (k *Kernel) popSlot(si int) int32 {
+	s := &k.slots[si]
+	i := s.head
+	s.head = k.link[i]
+	if s.head == 0 {
+		s.tail = 0
 		k.occ[si>>6] &^= 1 << uint(si&63)
 	}
+	k.link[i] = k.free
+	k.free = i
 	k.nwheel--
-	return e
+	return i
 }
 
 // nextOccupied returns the occupied slot closest to the current cycle,
@@ -285,15 +412,15 @@ func (k *Kernel) nextOccupied() int {
 }
 
 // migrate moves heap events that entered the wheel horizon onto the wheel.
-// Same-time events pop from the heap in sequence order, and wheelPush
-// re-orders against any directly pushed slot-mates, so migration preserves
-// the (time, sequence) contract exactly.
+// Same-time events pop from the heap in sequence order, and wheelInsert
+// orders them against any directly pushed slot-mates, so migration
+// preserves the (time, sequence) contract exactly.
 //
 //cbsim:hotpath
 func (k *Kernel) migrate() {
 	for len(k.heap) > 0 && k.heap[0].when-k.now < wheelSlots {
 		k.tele.Migrations++
-		k.wheelPush(k.heapPop())
+		k.wheelInsert(k.heapPop())
 	}
 }
 
@@ -344,8 +471,7 @@ func (k *Kernel) heapPush(e event) {
 	}
 }
 
-// heapPop removes and returns the heap's earliest event, zeroing the
-// vacated tail slot so the popped actor and message stay collectable.
+// heapPop removes and returns the heap's earliest event.
 //
 //cbsim:hotpath
 func (k *Kernel) heapPop() event {
@@ -353,7 +479,6 @@ func (k *Kernel) heapPop() event {
 	top := h[0]
 	n := len(h) - 1
 	h[0] = h[n]
-	h[n] = event{}
 	h = h[:n]
 	k.heap = h
 	for i := 0; ; {
@@ -384,7 +509,10 @@ func (k *Kernel) stepOne() {
 	}
 	var e event
 	if si := k.cachedSlot; si >= 0 {
-		e = k.popSlot(si)
+		// Read the fields in place: the entry is free but not reused
+		// before Act schedules again.
+		p := &k.arena[k.popSlot(si)]
+		e.when, e.arg, e.actor, e.msg = p.when, p.arg, p.actor, p.msg
 	} else {
 		e = k.heapPop()
 	}
@@ -394,7 +522,7 @@ func (k *Kernel) stepOne() {
 	}
 	k.now = e.when
 	k.nrun++
-	e.actor.Act(e.msg, e.arg)
+	k.actors[e.actor].Act(k.msgs[e.msg], e.arg)
 }
 
 // Step fires the single earliest pending event and advances the clock to
@@ -500,7 +628,8 @@ func (k *Kernel) Scheduled() uint64 { return k.seq }
 // KernelState is the portable execution state of a quiescent kernel: with
 // no events pending, the clock, sequence counter, and executed count fully
 // determine all future behavior (machine snapshots capture and restore
-// exactly this).
+// exactly this). Registered actors and message handles are wiring, not
+// state: they stay with the kernel.
 type KernelState struct {
 	Now      uint64
 	Seq      uint64
@@ -511,8 +640,8 @@ type KernelState struct {
 var ErrNotQuiescent = errors.New("sim: kernel has pending events")
 
 // State captures the kernel's execution state. It fails with
-// ErrNotQuiescent unless the queue is drained: pending events point at
-// live actors and messages, which a KernelState does not capture.
+// ErrNotQuiescent unless the queue is drained: pending events name live
+// actors and messages, which a KernelState does not capture.
 func (k *Kernel) State() (KernelState, error) {
 	if k.Pending() != 0 {
 		return KernelState{}, ErrNotQuiescent
@@ -525,18 +654,13 @@ func (k *Kernel) State() (KernelState, error) {
 // kernel — in any state — makes its future behavior byte-identical to the
 // kernel the state was captured from.
 func (k *Kernel) SetState(s KernelState) {
-	for i := range k.slots {
-		sl := &k.slots[i]
-		if len(sl.ev) > 0 {
-			clear(sl.ev[sl.head:])
-			sl.ev = sl.ev[:0]
-			sl.head = 0
-		}
+	clear(k.slots)
+	clear(k.occ)
+	if k.arena != nil {
+		k.arena = k.arena[:1]
+		k.link = k.link[:1]
 	}
-	for i := range k.occ {
-		k.occ[i] = 0
-	}
-	clear(k.heap)
+	k.free = 0
 	k.heap = k.heap[:0]
 	k.nwheel = 0
 	k.cached = false

@@ -16,19 +16,37 @@ type fnActor func()
 
 func (f fnActor) Act(*memtypes.Message, uint64) { f() }
 
-// An event is {when, seq, actor, msg, arg}: two words of ordering, a
-// two-word interface, a pointer and the scalar. The wheel and the heap
+// fn registers f with k as an actor of its own (tests).
+func fn(k *Kernel, f func()) ActorID { return k.Register(fnActor(f)) }
+
+// An event is {when, seq, arg, actor, msg}: two words of ordering, the
+// scalar, the actor ID and the message handle. The wheel and the heap
 // move events by value, so their size is the kernel's memory traffic.
 func TestEventSize(t *testing.T) {
-	if got := unsafe.Sizeof(event{}); got != 48 {
-		t.Fatalf("sizeof(event) = %d bytes, want 48", got)
+	if got := unsafe.Sizeof(event{}); got != 32 {
+		t.Fatalf("sizeof(event) = %d bytes, want 32", got)
+	}
+}
+
+// Events are plain data: no field may hold a pointer, so the garbage
+// collector never scans the wheel arena or the heap, and a pending event
+// can be copied out of the kernel as a value.
+func TestEventHoldsNoPointers(t *testing.T) {
+	typ := reflect.TypeOf(event{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		switch f.Type.Kind() {
+		case reflect.Uint32, reflect.Uint64:
+		default:
+			t.Errorf("event.%s is a %s, want a fixed-size integer", f.Name, f.Type)
+		}
 	}
 }
 
 func TestZeroValueUsable(t *testing.T) {
 	var k Kernel
 	fired := false
-	k.Schedule(5, fnActor(func() { fired = true }), nil, 0)
+	k.Schedule(5, fn(&k, func() { fired = true }), nil, 0)
 	if err := k.Run(0); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -45,7 +63,7 @@ func TestFIFOWithinCycle(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		k.Schedule(3, fnActor(func() { order = append(order, i) }), nil, 0)
+		k.Schedule(3, fn(k, func() { order = append(order, i) }), nil, 0)
 	}
 	if err := k.Run(0); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -63,7 +81,7 @@ func TestTimeOrdering(t *testing.T) {
 	delays := []uint64{9, 2, 7, 2, 0, 100, 1}
 	for _, d := range delays {
 		d := d
-		k.Schedule(d, fnActor(func() { times = append(times, k.Now()) }), nil, 0)
+		k.Schedule(d, fn(k, func() { times = append(times, k.Now()) }), nil, 0)
 	}
 	if err := k.Run(0); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -79,8 +97,8 @@ func TestTimeOrdering(t *testing.T) {
 func TestZeroDelayFiresSameCycle(t *testing.T) {
 	k := New()
 	var at uint64 = 999
-	k.Schedule(4, fnActor(func() {
-		k.Schedule(0, fnActor(func() { at = k.Now() }), nil, 0)
+	k.Schedule(4, fn(k, func() {
+		k.Schedule(0, fn(k, func() { at = k.Now() }), nil, 0)
 	}), nil, 0)
 	if err := k.Run(0); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -93,13 +111,13 @@ func TestZeroDelayFiresSameCycle(t *testing.T) {
 func TestChainedScheduling(t *testing.T) {
 	k := New()
 	count := 0
-	var step fnActor
-	step = func() {
+	var step ActorID
+	step = fn(k, func() {
 		count++
 		if count < 100 {
 			k.Schedule(1, step, nil, 0)
 		}
-	}
+	})
 	k.Schedule(1, step, nil, 0)
 	if err := k.Run(0); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -115,7 +133,7 @@ func TestChainedScheduling(t *testing.T) {
 func TestRunLimit(t *testing.T) {
 	k := New()
 	fired := false
-	k.Schedule(50, fnActor(func() { fired = true }), nil, 0)
+	k.Schedule(50, fn(k, func() { fired = true }), nil, 0)
 	if err := k.Run(10); err != ErrLimit {
 		t.Fatalf("Run(10) err = %v, want ErrLimit", err)
 	}
@@ -138,7 +156,7 @@ func TestRunUntil(t *testing.T) {
 	k := New()
 	n := 0
 	for i := 1; i <= 10; i++ {
-		k.Schedule(uint64(i), fnActor(func() { n++ }), nil, 0)
+		k.Schedule(uint64(i), fn(k, func() { n++ }), nil, 0)
 	}
 	err := k.RunUntil(0, func() bool { return n == 3 })
 	if err != nil {
@@ -154,7 +172,7 @@ func TestRunUntil(t *testing.T) {
 
 func TestRunUntilDrained(t *testing.T) {
 	k := New()
-	k.Schedule(1, fnActor(func() {}), nil, 0)
+	k.Schedule(1, fn(k, func() {}), nil, 0)
 	if err := k.RunUntil(0, func() bool { return false }); err == nil {
 		t.Fatal("expected error when queue drains before condition holds")
 	}
@@ -168,9 +186,9 @@ func TestRunUntilDrained(t *testing.T) {
 func TestSchedulePastClampsToNow(t *testing.T) {
 	k := New()
 	var order []string
-	k.Schedule(10, fnActor(func() {
-		k.Schedule(0, fnActor(func() { order = append(order, "zero-delay") }), nil, 0)
-		k.At(5, fnActor(func() {
+	k.Schedule(10, fn(k, func() {
+		k.Schedule(0, fn(k, func() { order = append(order, "zero-delay") }), nil, 0)
+		k.At(5, fn(k, func() {
 			order = append(order, "clamped")
 			if k.Now() != 10 {
 				t.Errorf("clamped event fired at %d, want 10", k.Now())
@@ -178,7 +196,8 @@ func TestSchedulePastClampsToNow(t *testing.T) {
 		}), nil, 0)
 	}), nil, 0)
 	a := &recordingActor{}
-	k.Schedule(20, fnActor(func() { k.At(3, a, nil, 77) }), nil, 0)
+	aid := k.Register(a)
+	k.Schedule(20, fn(k, func() { k.At(3, aid, nil, 77) }), nil, 0)
 	if err := k.Run(0); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -199,8 +218,8 @@ func TestSchedulePastClampsToNow(t *testing.T) {
 func TestStep(t *testing.T) {
 	k := New()
 	n := 0
-	k.Schedule(2, fnActor(func() { n++ }), nil, 0)
-	k.Schedule(4, fnActor(func() { n++ }), nil, 0)
+	k.Schedule(2, fn(k, func() { n++ }), nil, 0)
+	k.Schedule(4, fn(k, func() { n++ }), nil, 0)
 	if !k.Step() {
 		t.Fatal("Step returned false with pending events")
 	}
@@ -230,7 +249,7 @@ func TestPropertyOrdering(t *testing.T) {
 		var got []rec
 		for i, d := range delays {
 			i, d := i, uint64(d)
-			k.Schedule(d, fnActor(func() { got = append(got, rec{k.Now(), i}) }), nil, 0)
+			k.Schedule(d, fn(k, func() { got = append(got, rec{k.Now(), i}) }), nil, 0)
 		}
 		if err := k.Run(0); err != nil {
 			return false
@@ -259,9 +278,9 @@ func TestPropertyOrdering(t *testing.T) {
 func TestMigrationPreservesSeqOrder(t *testing.T) {
 	k := New()
 	var order []int
-	k.At(2000, fnActor(func() { order = append(order, 0) }), nil, 0) // seq 0: 2000 cycles out -> heap
-	k.At(1500, fnActor(func() {                                      // seq 1: also heap at push time
-		k.At(2000, fnActor(func() { order = append(order, 1) }), nil, 0) // seq 2: 500 out -> wheel direct
+	k.At(2000, fn(k, func() { order = append(order, 0) }), nil, 0) // seq 0: 2000 cycles out -> heap
+	k.At(1500, fn(k, func() {                                      // seq 1: also heap at push time
+		k.At(2000, fn(k, func() { order = append(order, 1) }), nil, 0) // seq 2: 500 out -> wheel direct
 	}), nil, 0)
 	if err := k.Run(0); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -282,10 +301,10 @@ func TestWheelHeapIdenticalOrder(t *testing.T) {
 		var got [][2]uint64
 		for i, d := range delays {
 			i, d := uint64(i), uint64(d)
-			k.Schedule(d, fnActor(func() {
+			k.Schedule(d, fn(k, func() {
 				got = append(got, [2]uint64{k.Now(), i})
 				if d%3 == 0 {
-					k.Schedule(d/2+1500, fnActor(func() {
+					k.Schedule(d/2+1500, fn(k, func() {
 						got = append(got, [2]uint64{k.Now(), 1<<32 | i})
 					}), nil, 0)
 				}
@@ -308,8 +327,8 @@ func TestWheelHeapIdenticalOrder(t *testing.T) {
 // those batch skips.
 func TestBatchSkipTelemetry(t *testing.T) {
 	k := New()
-	k.Schedule(100, fnActor(func() {}), nil, 0)
-	k.Schedule(700, fnActor(func() {}), nil, 0)
+	k.Schedule(100, fn(k, func() {}), nil, 0)
+	k.Schedule(700, fn(k, func() {}), nil, 0)
 	if err := k.Run(0); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -323,8 +342,8 @@ func TestBatchSkipTelemetry(t *testing.T) {
 
 func TestStateRoundTrip(t *testing.T) {
 	k := New()
-	k.Schedule(5, fnActor(func() {}), nil, 0)
-	k.Schedule(2000, fnActor(func() {}), nil, 0)
+	k.Schedule(5, fn(k, func() {}), nil, 0)
+	k.Schedule(2000, fn(k, func() {}), nil, 0)
 	if _, err := k.State(); err != ErrNotQuiescent {
 		t.Fatalf("State with pending events: err = %v, want ErrNotQuiescent", err)
 	}
@@ -342,8 +361,8 @@ func TestStateRoundTrip(t *testing.T) {
 	// Restore into a kernel with pending garbage in both tiers: the
 	// garbage is dropped, and future behavior matches the source kernel.
 	k2 := New()
-	k2.Schedule(1, fnActor(func() { t.Error("dropped wheel event fired") }), nil, 0)
-	k2.At(99999, fnActor(func() { t.Error("dropped heap event fired") }), nil, 0)
+	k2.Schedule(1, fn(k2, func() { t.Error("dropped wheel event fired") }), nil, 0)
+	k2.At(99999, fn(k2, func() { t.Error("dropped heap event fired") }), nil, 0)
 	k2.SetState(st)
 	if k2.Pending() != 0 {
 		t.Fatalf("Pending = %d after SetState, want 0", k2.Pending())
@@ -352,7 +371,7 @@ func TestStateRoundTrip(t *testing.T) {
 		t.Fatalf("restored now=%d executed=%d, want 2000/2", k2.Now(), k2.Executed())
 	}
 	var at uint64
-	k2.Schedule(3, fnActor(func() { at = k2.Now() }), nil, 0)
+	k2.Schedule(3, fn(k2, func() { at = k2.Now() }), nil, 0)
 	if err := k2.Run(0); err != nil {
 		t.Fatalf("Run after restore: %v", err)
 	}
@@ -367,7 +386,7 @@ func TestRunLimitAcrossWheelHorizon(t *testing.T) {
 	k := New()
 	var times []uint64
 	for _, d := range []uint64{500, 1500, 3000, 3000, 9000} {
-		k.Schedule(d, fnActor(func() { times = append(times, k.Now()) }), nil, 0)
+		k.Schedule(d, fn(k, func() { times = append(times, k.Now()) }), nil, 0)
 	}
 	for _, limit := range []uint64{200, 600, 2500, 3000, 5000} {
 		if err := k.Run(limit); err != ErrLimit {
@@ -388,14 +407,14 @@ func TestRunLimitAcrossWheelHorizon(t *testing.T) {
 
 func BenchmarkKernelChain(b *testing.B) {
 	k := New()
-	var step fnActor
+	var step ActorID
 	n := 0
-	step = func() {
+	step = fn(k, func() {
 		n++
 		if n < b.N {
 			k.Schedule(1, step, nil, 0)
 		}
-	}
+	})
 	k.Schedule(1, step, nil, 0)
 	b.ResetTimer()
 	if err := k.Run(0); err != nil {

@@ -118,3 +118,37 @@ func TestCallbackWakeAllocFree(t *testing.T) {
 		})
 	}
 }
+
+// TestDeferredQueueAllocFree pins the bank's line-lock queue at zero
+// allocations: three cores write one word with st_through in a loop, so
+// their writes keep queueing behind the line's holder. Emptied queues are
+// reused, not reallocated.
+func TestDeferredQueueAllocFree(t *testing.T) {
+	r := newRig(t, 4, DefaultConfig(ModeBackoff))
+	for id := 1; id <= 3; id++ {
+		b := isa.NewBuilder()
+		loop := b.NewLabel()
+		b.Imm(isa.R1, 0x100) // homed at bank 0
+		b.Bind(loop)
+		b.Addi(isa.R2, isa.R2, 1)
+		b.StThrough(isa.R1, 0, isa.R2)
+		b.Jmp(loop)
+		cpu.New(r.k, memtypes.NodeID(id), r.tiles[id].L1, cpu.DefaultConfig(0), nil, nil).Run(b.MustBuild(), 0)
+	}
+	bank := r.tiles[0].Bank
+	for i := 0; i < 20_000; i++ {
+		r.k.Step()
+	}
+	deferred := bank.Stats().Deferred
+	allocs := testing.AllocsPerRun(20, func() {
+		for i := 0; i < 500; i++ {
+			r.k.Step()
+		}
+	})
+	if deferred = bank.Stats().Deferred - deferred; deferred < 100 {
+		t.Fatalf("measured %d deferred operations, want the locked line to queue operations", deferred)
+	}
+	if allocs != 0 {
+		t.Fatalf("%v allocs per 500 events (%d operations deferred), want 0", allocs, deferred)
+	}
+}

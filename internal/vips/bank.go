@@ -34,6 +34,7 @@ type BankCtrlStats struct {
 // callback directory when the protocol runs in callback mode.
 type Bank struct {
 	k     *sim.Kernel
+	self  sim.ActorID
 	id    memtypes.NodeID
 	mesh  *noc.Mesh
 	store *mem.Store
@@ -54,13 +55,20 @@ type Bank struct {
 	queueLocks map[memtypes.Addr]*qlState
 
 	// busy and deferq implement the per-line LLC MSHR lock: operations
-	// on a locked line queue FIFO until the holder releases.
+	// on a locked line queue FIFO until the holder releases. freeQ keeps
+	// the backings of emptied queues for reuse.
 	busy   map[memtypes.Addr]bool
 	deferq map[memtypes.Addr][]*memtypes.Message
+	//cbvet:ephemeral allocator free list; holds only emptied queue backings with no protocol meaning
+	freeQ [][]*memtypes.Message
 
-	// freeWakes recycles delayed-wake records (see wakeAfter).
+	// wakes holds the delayed wakes in flight (see wakeAfter); an
+	// evWake event carries its record's index. freeWakes lists the
+	// indices of delivered records for reuse.
+	//cbvet:ephemeral wakes in flight ride pending kernel events, and a quiescent machine has none
+	wakes []wakeRecord
 	//cbvet:ephemeral allocator free list; holds only delivered wakes with no protocol meaning
-	freeWakes []*wakeEvent
+	freeWakes []uint32
 
 	// parked holds callback reads (and RMWs) blocked in the callback
 	// directory, keyed by word address then core. A tag's set stays in
@@ -98,6 +106,7 @@ func newBank(k *sim.Kernel, id memtypes.NodeID, mesh *noc.Mesh, store *mem.Store
 		b.cbdir.SetLineGranular(cfg.CBLineGranular)
 		b.cbdirLat = cfg.CBDirLatency
 	}
+	b.self = k.Register(b)
 	return b
 }
 
@@ -123,8 +132,8 @@ func (b *Bank) observeOcc(addr memtypes.Addr) {
 // CBDir exposes the callback directory (nil in back-off mode) for stats.
 func (b *Bank) CBDir() *core.Directory { return b.cbdir }
 
-// Bank event stages, passed as the arg of Act. Every event carries the
-// request message it serves.
+// Bank event stages, passed as the arg of Act. Every event but evWake
+// carries the request message it serves.
 const (
 	evFill      = iota // line read done: send the fill, release the line
 	evWTAck            // write-through absorbed: ack it, release the line
@@ -132,6 +141,7 @@ const (
 	evWriteAck         // racy write's LLC access done: ack, release the line
 	evRMW              // atomic's LLC access done: execute it, release the line
 	evConsultCB        // callback-directory read of a ld_cb (or RMW ld_cb half) done
+	evWake             // delayed wake due: arg-evWake indexes its record in wakes
 )
 
 // withLine runs msg's line-locked step under the lock of msg's line, or
@@ -143,7 +153,7 @@ func (b *Bank) withLine(msg *memtypes.Message) {
 	line := msg.Addr.Line()
 	if b.busy[line] {
 		b.stats.Deferred++
-		b.deferq[line] = append(b.deferq[line], msg)
+		b.deferq[line], b.freeQ = memtypes.Enqueue(b.deferq[line], b.freeQ, msg)
 		return
 	}
 	b.busy[line] = true
@@ -155,12 +165,13 @@ func (b *Bank) withLine(msg *memtypes.Message) {
 //cbsim:hotpath
 func (b *Bank) release(line memtypes.Addr) {
 	if q := b.deferq[line]; len(q) > 0 {
-		next := q[0]
-		if len(q) == 1 {
+		next, rest, free := memtypes.Dequeue(q, b.freeQ)
+		if len(rest) == 0 {
 			delete(b.deferq, line)
 		} else {
-			b.deferq[line] = q[1:]
+			b.deferq[line] = rest
 		}
+		b.freeQ = free
 		b.locked(next)
 		return
 	}
@@ -195,32 +206,34 @@ func (b *Bank) locked(msg *memtypes.Message) {
 func (b *Bank) access(msg *memtypes.Message, addr memtypes.Addr, ev uint64) {
 	lat := b.accessLat(addr, true, msg.Req.SyncPhase())
 	cycles.Span(b.obs, b.k.Now(), b.k.Now()+lat, msg.Core, cycles.CatLLCStall)
-	b.k.Schedule(lat, b, msg, ev)
+	b.k.Schedule(lat, b.self, msg, ev)
 }
 
 // Act fires one of the bank's scheduled events (implements sim.Actor).
 //
 //cbsim:hotpath
 func (b *Bank) Act(msg *memtypes.Message, ev uint64) {
+	if ev >= evWake {
+		b.deliverWake(uint32(ev - evWake))
+		return
+	}
 	line := msg.Addr.Line()
 	switch ev {
 	case evFill:
-		fill := b.mesh.NewMessage()
-		*fill = memtypes.Message{
+		fill := b.mesh.NewMessage(memtypes.Message{
 			Src: b.id, Dst: msg.Src, Kind: MsgDataLine,
 			Class: memtypes.ClassLineData, Addr: msg.Addr,
 			Core: msg.Core, LineData: b.store.LoadLine(msg.Addr), Seq: msg.Seq,
-		}
+		})
 		b.mesh.Free(msg)
 		b.mesh.Send(fill)
 		cycles.Open(b.obs, b.k.Now(), fill.Core, cycles.CatNoC)
 		b.release(line)
 	case evWTAck:
-		ack := b.mesh.NewMessage()
-		*ack = memtypes.Message{
+		ack := b.mesh.NewMessage(memtypes.Message{
 			Src: b.id, Dst: msg.Src, Kind: MsgWTAck,
 			Class: memtypes.ClassControl, Addr: msg.Addr, Core: msg.Core,
-		}
+		})
 		b.mesh.Free(msg)
 		b.mesh.Send(ack)
 		b.release(line)
@@ -280,7 +293,7 @@ func (b *Bank) writeLine(msg *memtypes.Message) {
 		}
 	}
 	lat := b.accessLat(msg.Addr, true, 0)
-	b.k.Schedule(lat, b, msg, evWTAck)
+	b.k.Schedule(lat, b.self, msg, evWTAck)
 }
 
 func (b *Bank) handleRacy(msg *memtypes.Message) {
@@ -333,15 +346,17 @@ func (b *Bank) readThrough(msg *memtypes.Message) {
 func (b *Bank) callbackRead(msg *memtypes.Message) {
 	b.stats.CBDirAccesses++
 	cycles.Span(b.obs, b.k.Now(), b.k.Now()+b.cbdirLat, msg.Core, cycles.CatCoherenceStall)
-	b.k.Schedule(b.cbdirLat, b, msg, evConsultCB)
+	b.k.Schedule(b.cbdirLat, b.self, msg, evConsultCB)
 }
 
 // consultCB performs the callback-directory read of a ld_cb or of an
 // RMW's ld_cb half. It parks a blocked operation and reports whether the
 // operation may proceed to the LLC.
 func (b *Bank) consultCB(msg *memtypes.Message) bool {
-	res, ev := b.cbdir.CallbackRead(int(msg.Core), msg.Req.Addr)
-	b.answerEviction(ev)
+	res, ev, evicted := b.cbdir.CallbackRead(int(msg.Core), msg.Req.Addr)
+	if evicted {
+		b.answerEviction(ev)
+	}
 	b.observeOcc(msg.Req.Addr)
 	if res == core.ReadBlocked {
 		b.park(msg)
@@ -388,7 +403,7 @@ func (b *Bank) rmw(msg *memtypes.Message) {
 	if b.cbdir != nil && req.RMWLdCB {
 		b.stats.CBDirAccesses++
 		cycles.Span(b.obs, b.k.Now(), b.k.Now()+b.cbdirLat, msg.Core, cycles.CatCoherenceStall)
-		b.k.Schedule(b.cbdirLat, b, msg, evConsultCB)
+		b.k.Schedule(b.cbdirLat, b.self, msg, evConsultCB)
 		return
 	}
 	if b.cbdir != nil {
@@ -493,22 +508,18 @@ func (b *Bank) wake(cores uint64, addr memtypes.Addr, value uint64, stale bool) 
 
 // answerEviction services the waiters of an evicted directory entry with
 // the current value (Section 2.3.1).
-func (b *Bank) answerEviction(ev *core.Eviction) {
-	if ev == nil {
-		return
-	}
+func (b *Bank) answerEviction(ev core.Eviction) {
 	b.wake(ev.Waiters, ev.Addr, b.store.Load(ev.Addr), true)
 }
 
 // respond sends a racy-op completion carrying a data word and recycles
 // the request message: it is the terminal step of the operation.
 func (b *Bank) respond(msg *memtypes.Message, value uint64, stale bool) {
-	resp := b.mesh.NewMessage()
-	*resp = memtypes.Message{
+	resp := b.mesh.NewMessage(memtypes.Message{
 		Src: b.id, Dst: msg.Src, Kind: MsgRacyResp,
 		Class: memtypes.ClassWordData, Addr: msg.Req.Addr,
 		Core: msg.Core, Value: value, Stale: stale, Req: msg.Req, Seq: msg.Seq,
-	}
+	})
 	b.mesh.Free(msg)
 	b.mesh.Send(resp)
 	cycles.Open(b.obs, b.k.Now(), resp.Core, cycles.CatNoC)
@@ -517,12 +528,11 @@ func (b *Bank) respond(msg *memtypes.Message, value uint64, stale bool) {
 // ack sends a store completion (control message) and recycles the
 // request message.
 func (b *Bank) ack(msg *memtypes.Message) {
-	resp := b.mesh.NewMessage()
-	*resp = memtypes.Message{
+	resp := b.mesh.NewMessage(memtypes.Message{
 		Src: b.id, Dst: msg.Src, Kind: MsgRacyResp,
 		Class: memtypes.ClassControl, Addr: msg.Req.Addr,
 		Core: msg.Core, Value: msg.Req.Value, Req: msg.Req, Seq: msg.Seq,
-	}
+	})
 	b.mesh.Free(msg)
 	b.mesh.Send(resp)
 	cycles.Open(b.obs, b.k.Now(), resp.Core, cycles.CatNoC)

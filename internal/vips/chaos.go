@@ -18,7 +18,9 @@ import (
 // Only called when both chaos and the callback directory are present.
 func (b *Bank) injectChaos(addr memtypes.Addr) {
 	if pick, ok := b.chaos.ForcedEviction(); ok {
-		b.answerEviction(b.cbdir.ForceEvict(pick))
+		if ev, evicted := b.cbdir.ForceEvict(pick); evicted {
+			b.answerEviction(ev)
+		}
 	}
 	if b.chaos.SpuriousWake() {
 		b.spuriousWake(addr)
@@ -48,24 +50,23 @@ func (b *Bank) spuriousWake(addr memtypes.Addr) {
 	b.wake(1<<victim, addr, b.store.Load(addr), true)
 }
 
-// wakeEvent is a wake in flight between a write and its delivery (see
-// wakeAfter). It is its own actor: firing it recycles the record into
-// its bank's free list and services the wakes.
-type wakeEvent struct {
-	b     *Bank
+// wakeRecord is a wake in flight between a write and its delivery (see
+// wakeAfter).
+type wakeRecord struct {
 	cores uint64 // core mask, as core.Directory.Write returns it
 	addr  memtypes.Addr
 	value uint64
 }
 
-// Act delivers the delayed wake (implements sim.Actor).
+// deliverWake fires the delayed wake in record i: the record goes back on
+// the free list and its wakes are serviced.
 //
 //cbsim:hotpath
-func (w *wakeEvent) Act(*memtypes.Message, uint64) {
-	b, cores, addr, value := w.b, w.cores, w.addr, w.value
-	*w = wakeEvent{}
-	b.freeWakes = append(b.freeWakes, w)
-	b.wake(cores, addr, value, false)
+func (b *Bank) deliverWake(i uint32) {
+	w := b.wakes[i]
+	b.wakes[i] = wakeRecord{}
+	b.freeWakes = append(b.freeWakes, i)
+	b.wake(w.cores, w.addr, w.value, false)
 }
 
 // wakeAfter services wakes delay cycles from now; chaos may stretch the
@@ -83,15 +84,17 @@ func (b *Bank) wakeAfter(delay uint64, cores uint64, addr memtypes.Addr, value u
 		b.wake(cores, addr, value, false)
 		return
 	}
-	var w *wakeEvent
+	rec := wakeRecord{cores: cores, addr: addr, value: value}
+	var i uint32
 	if n := len(b.freeWakes); n > 0 {
-		w = b.freeWakes[n-1]
+		i = b.freeWakes[n-1]
 		b.freeWakes = b.freeWakes[:n-1]
+		b.wakes[i] = rec
 	} else {
-		w = &wakeEvent{} //cbvet:alloc-ok free-list growth, bounded by the peak number of wakes in flight
+		i = uint32(len(b.wakes))
+		b.wakes = append(b.wakes, rec)
 	}
-	*w = wakeEvent{b: b, cores: cores, addr: addr, value: value}
-	b.k.Schedule(delay, w, nil, 0)
+	b.k.Schedule(delay, b.self, nil, evWake+uint64(i))
 }
 
 // accessLat returns the LLC access latency for addr, plus chaos jitter.

@@ -54,6 +54,7 @@ type pendingOp struct {
 // and handles bank responses delivered by the tile.
 type L1 struct {
 	k      *sim.Kernel
+	self   sim.ActorID
 	id     memtypes.NodeID
 	mesh   *noc.Mesh
 	bankOf func(memtypes.Addr) memtypes.NodeID
@@ -83,10 +84,12 @@ type L1 struct {
 
 // newL1 builds the L1 for core id with the paper's 32KB 4-way geometry.
 func newL1(k *sim.Kernel, id memtypes.NodeID, mesh *noc.Mesh, bankOf func(memtypes.Addr) memtypes.NodeID) *L1 {
-	return &L1{
+	l := &L1{
 		k: k, id: id, mesh: mesh, bankOf: bankOf,
 		arr: cache.NewArray[l1Line](32*1024, 4),
 	}
+	l.self = k.Register(l)
+	return l
 }
 
 // Stats returns the L1 counters.
@@ -128,7 +131,7 @@ func (l *L1) respond(delay uint64, resp memtypes.Response) {
 	}
 	l.resp, l.respTo = resp, l.pending.done
 	l.pending = pendingOp{}
-	l.k.Schedule(delay, l, nil, 0)
+	l.k.Schedule(delay, l.self, nil, 0)
 }
 
 // Act delivers the response slot to its core (implements sim.Actor).
@@ -152,12 +155,11 @@ func (l *L1) accessDRF() {
 		return
 	}
 	l.stats.Misses++
-	msg := l.mesh.NewMessage()
-	*msg = memtypes.Message{
+	msg := l.mesh.NewMessage(memtypes.Message{
 		Src: l.id, Dst: l.bankOf(req.Addr), Kind: MsgGetLine,
 		Class: memtypes.ClassControl, Addr: req.Addr.Line(),
 		Core: l.id, Req: req, Seq: req.Seq,
-	}
+	})
 	l.mesh.Send(msg)
 	cycles.Open(l.obs, l.k.Now(), l.id, cycles.CatNoC)
 }
@@ -217,11 +219,10 @@ func (l *L1) evictFor(addr memtypes.Addr) {
 // writeThrough sends a line's dirty words to its bank and clears the
 // dirty bits.
 func (l *L1) writeThrough(line *cache.Line[l1Line]) {
-	msg := l.mesh.NewMessage()
-	*msg = memtypes.Message{
+	msg := l.mesh.NewMessage(memtypes.Message{
 		Src: l.id, Dst: l.bankOf(line.Addr), Kind: MsgWTLine,
 		Class: memtypes.ClassWordData, Addr: line.Addr, Core: l.id,
-	}
+	})
 	words := 0
 	for i, d := range line.State.dirty {
 		if d {
@@ -296,11 +297,10 @@ func (l *L1) issueRacy() {
 	case memtypes.OpWriteThrough, memtypes.OpWriteCB1, memtypes.OpWriteCB0, memtypes.OpRMW:
 		class = memtypes.ClassWordData
 	}
-	msg := l.mesh.NewMessage()
-	*msg = memtypes.Message{
+	msg := l.mesh.NewMessage(memtypes.Message{
 		Src: l.id, Dst: l.bankOf(req.Addr), Kind: MsgRacy,
 		Class: class, Addr: req.Addr, Core: l.id, Req: req, Seq: req.Seq,
-	}
+	})
 	l.mesh.Send(msg)
 	cycles.Open(l.obs, l.k.Now(), l.id, cycles.CatNoC)
 }
